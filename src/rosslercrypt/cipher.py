@@ -62,7 +62,7 @@ class Ciphertext:
         return self.values.shape[0]
 
 
-def build_codebook(key: RosslerKey, *, workers: int = 1) -> Codebook:
+def build_codebook(key: RosslerKey) -> Codebook:
     """Run the machine once per byte value and collect the final x values.
 
     Raises DivergenceError (with .entry = the byte and .step) if any run
@@ -70,14 +70,14 @@ def build_codebook(key: RosslerKey, *, workers: int = 1) -> Codebook:
     """
     params = rossler.SystemParams(key.a, key.b, key.c)
     finals = rossler.run_machine_batch(
-        params, _BYTE_X0S, key.y0, key.z0, key.n_steps, key.h, workers=workers
+        params, _BYTE_X0S, key.y0, key.z0, key.n_steps, key.h
     )
     return Codebook(entries=finals[:, 0].copy())
 
 
-def encrypt(plaintext: bytes, key: RosslerKey, *, workers: int = 1) -> Ciphertext:
+def encrypt(plaintext: bytes, key: RosslerKey) -> Ciphertext:
     """Substitute each plaintext byte with its codebook endpoint."""
-    codebook = build_codebook(key, workers=workers)
+    codebook = build_codebook(key)
     if len(plaintext) == 0:
         return Ciphertext(values=np.empty(0, dtype=np.float64))
     indices = np.frombuffer(plaintext, dtype=np.uint8)
@@ -89,7 +89,6 @@ def decrypt(
     key: RosslerKey,
     *,
     tolerance: float | None = None,
-    workers: int = 1,
 ) -> bytes:
     """Invert the codebook substitution.
 
@@ -106,7 +105,7 @@ def decrypt(
     if values.size and not np.isfinite(values).all():
         pos = int(np.flatnonzero(~np.isfinite(values))[0])
         raise FormatError(f"non-finite ciphertext value at position {pos}")
-    codebook = build_codebook(key, workers=workers)
+    codebook = build_codebook(key)
     if tolerance is None:
         by_bits = {
             struct.pack("<d", float(v)): b for b, v in enumerate(codebook.entries)

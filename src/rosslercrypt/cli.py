@@ -2,8 +2,8 @@
 
 Subcommands: simulate, keygen, encrypt, decrypt, digest, verify, keyspace.
 Machine-readable output goes to stdout, diagnostics to stderr. Exit codes:
-0 success, 1 verification or match failure (including divergence), 2 usage
-or format errors.
+0 success, 1 verification or match failure (including divergence and
+exhausted key generation), 2 usage or format errors.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ import os
 import sys
 
 from . import __version__, cipher, digest as digest_mod, keys, ode, rossler
-from .errors import (
-    AmbiguousError,
-    DivergenceError,
-    FormatError,
-    NoMatchError,
-)
+from .errors import AmbiguousError, DivergenceError, KeygenExhausted, NoMatchError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -201,19 +196,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (NoMatchError, AmbiguousError) as exc:
+    except (NoMatchError, AmbiguousError, DivergenceError, KeygenExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # FormatError is a ValueError; so is a bad ROSSLERCRYPT_BACKEND.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,9 +49,12 @@ class Digest:
 def weighted_sum(message: bytes) -> float:
     """Sum of i * map_byte(m_i) over 1-based positions, left to right.
 
-    Every partial sum is an integer multiple of 1/1024, exact in binary64
-    for any practical message length, so changing or transposing bytes
-    changes the sum exactly.
+    Every partial sum is an integer multiple of 1/1024. For messages
+    shorter than 2^23 bytes those integers stay below 2^53, so the sum is
+    exact in binary64 and changing one byte, or transposing two adjacent
+    distinct bytes, changes it. Longer messages can round. Other edits can
+    keep the sum, and with it the digest under every key: b"\x0a\x14" and
+    b"\x0c\x13" both sum to 53/1024.
     """
     s = 0.0
     for i, byte in enumerate(message, start=1):

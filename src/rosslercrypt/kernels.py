@@ -1,17 +1,18 @@
 """Stepping kernels for the Rossler system, in two interchangeable backends.
 
-The hot loops (single runs, sampled trajectories, and whole batches of runs
-sharing parameters) exist twice:
+The scalar step loops (single runs, sampled trajectories, and whole batches
+of runs sharing parameters) are defined once, below, as plain Python:
 
-* ``numba``: the scalar step loops compiled with ``numba.njit``. Default
-  whenever numba imports.
-* ``numpy``: the identical loops left as plain Python, plus a vectorized
-  batch runner that marches all entries together with numpy array ops.
+* ``numba``: those loops compiled with ``numba.njit``. Default whenever
+  numba imports.
+* ``numpy``: the same loops run as plain Python, except that batches go
+  through a vectorized runner that marches all entries together with numpy
+  array ops.
 
 Set ``ROSSLERCRYPT_BACKEND=numba`` or ``ROSSLERCRYPT_BACKEND=numpy`` to force
-a backend (read once at import time). Both backends must produce
-bit-identical binary64 results; the test suite enforces this, and the
-protocol relies on it (sender and receiver reproduce each other's bits).
+a backend (read on the first ``active_backend()`` call). Both backends must
+produce bit-identical binary64 results; the test suite enforces this, and
+the protocol relies on it (sender and receiver reproduce each other's bits).
 
 The step body below is a wire contract, not a style choice: every operation
 is binary64, in exactly the written order, with h/2 and h/6 formed once per
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -171,41 +173,37 @@ class Backend:
         return finals, fail_steps
 
 
+def _compiled_backend(name: str, compile_fn: Callable) -> Backend:
+    """A backend whose kernels are compile_fn applied to the loops above.
+
+    _trajectory and _batch find _endpoint as a global, so each is cloned
+    with that global bound to the compiled endpoint before it is compiled:
+    the compiled loops then call compiled code, from one source per loop.
+    """
+    endpoint = compile_fn(_endpoint)
+
+    def compile_calling_endpoint(fn: Callable) -> Callable:
+        clone = types.FunctionType(
+            fn.__code__, {**fn.__globals__, "_endpoint": endpoint}, fn.__name__
+        )
+        return compile_fn(clone)
+
+    return Backend(
+        name,
+        endpoint,
+        compile_calling_endpoint(_trajectory),
+        compile_calling_endpoint(_batch),
+    )
+
+
 _NUMPY_BACKEND = Backend("numpy", _endpoint, _trajectory, _batch_numpy)
 
 try:
     from numba import njit
-
-    _endpoint_nb = njit(cache=True, nogil=True)(_endpoint)
-
-    @njit(cache=True, nogil=True)
-    def _trajectory_nb(a, b, c, x, y, z, h, n, out):
-        out[0, 0] = x
-        out[0, 1] = y
-        out[0, 2] = z
-        for k in range(1, n + 1):
-            x, y, z, fail = _endpoint_nb(a, b, c, x, y, z, h, 1)
-            out[k, 0] = x
-            out[k, 1] = y
-            out[k, 2] = z
-            if fail != 0:
-                return k
-        return 0
-
-    @njit(cache=True, nogil=True)
-    def _batch_nb(a, b, c, x0s, y0, z0, h, n, finals, fail_steps):
-        for i in range(x0s.shape[0]):
-            x, y, z, fail = _endpoint_nb(a, b, c, x0s[i], y0, z0, h, n)
-            finals[i, 0] = x
-            finals[i, 1] = y
-            finals[i, 2] = z
-            fail_steps[i] = fail
-
-    _NUMBA_BACKEND: Backend | None = Backend(
-        "numba", _endpoint_nb, _trajectory_nb, _batch_nb
-    )
 except ImportError:  # pragma: no cover - numba is a declared dependency
-    _NUMBA_BACKEND = None
+    _NUMBA_BACKEND: Backend | None = None
+else:
+    _NUMBA_BACKEND = _compiled_backend("numba", njit(cache=True))
 
 
 def available_backends() -> tuple[str, ...]:
@@ -216,26 +214,35 @@ def available_backends() -> tuple[str, ...]:
 
 
 def get_backend(name: str) -> Backend:
+    """The backend called name; ValueError if it is unknown or unavailable."""
     name = name.strip().lower()
     if name == "numpy":
         return _NUMPY_BACKEND
     if name == "numba":
         if _NUMBA_BACKEND is None:
-            raise RuntimeError(f"{ENV_VAR}=numba requested but numba is not importable")
+            raise ValueError("numba backend requested but numba is not importable")
         return _NUMBA_BACKEND
-    raise RuntimeError(f"unknown backend {name!r} (expected 'numba' or 'numpy')")
+    raise ValueError(f"unknown backend {name!r} (expected 'numba' or 'numpy')")
 
 
-def _select_active() -> Backend:
-    requested = os.environ.get(ENV_VAR, "").strip().lower()
-    if requested in ("", "auto"):
-        return _NUMBA_BACKEND if _NUMBA_BACKEND is not None else _NUMPY_BACKEND
-    return get_backend(requested)
-
-
-_ACTIVE = _select_active()
+_active: Backend | None = None
 
 
 def active_backend() -> Backend:
-    """The backend selected at import time."""
-    return _ACTIVE
+    """The backend named by ROSSLERCRYPT_BACKEND, else numba if it imports,
+    else numpy.
+
+    Chosen on the first call; every later call returns the same instance.
+    ValueError if the variable names an unknown or unavailable backend.
+    """
+    global _active
+    if _active is None:
+        requested = os.environ.get(ENV_VAR, "").strip().lower()
+        if requested in ("", "auto"):
+            _active = _NUMBA_BACKEND if _NUMBA_BACKEND is not None else _NUMPY_BACKEND
+        else:
+            try:
+                _active = get_backend(requested)
+            except ValueError as exc:
+                raise ValueError(f"{ENV_VAR}: {exc}") from None
+    return _active

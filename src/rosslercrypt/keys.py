@@ -112,14 +112,13 @@ def generate_key(seed: int) -> RosslerKey:
     raise KeygenExhausted("no valid key among 1000 consecutive candidate seeds")
 
 
-def validate_key(key: RosslerKey, *, workers: int = 1) -> KeyValidationReport:
+def validate_key(key: RosslerKey) -> KeyValidationReport:
     """Check that the key yields a usable codebook.
 
     Valid means: all fields finite, h > 0, N >= 1, all 256 codebook entries
     finite, and all entries pairwise bit-distinct. The full codebook is
     built because collision freedom is exactly what exact-mode decryption
-    rests on. The report does not depend on evaluation order or worker
-    count.
+    rests on.
     """
     for v in (key.a, key.b, key.c, key.y0, key.z0, key.h):
         if not math.isfinite(v):
@@ -127,7 +126,7 @@ def validate_key(key: RosslerKey, *, workers: int = 1) -> KeyValidationReport:
     if key.h <= 0 or key.n_steps < 1:
         return KeyValidationReport(False, "out_of_range")
     try:
-        codebook = build_codebook(key, workers=workers)
+        codebook = build_codebook(key)
     except DivergenceError as err:
         return KeyValidationReport(
             False, "divergent", (int(err.entry), int(err.step))

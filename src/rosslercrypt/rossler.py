@@ -16,7 +16,6 @@ of it require.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,41 +151,15 @@ def run_machine_batch(
     z0: float,
     n_steps: int,
     h: float,
-    *,
-    workers: int = 1,
 ) -> np.ndarray:
     """Endpoints of one machine run per entry of x0_values, sharing y0, z0.
 
-    Entries are independent, so they may be computed on any number of
-    worker threads; the output bits do not depend on the split. Raises
-    DivergenceError for the lowest-indexed diverging entry.
+    Raises DivergenceError for the lowest-indexed diverging entry.
     """
     _check_machine_args(params, n_steps, h)
-    x0s = np.ascontiguousarray(x0_values, dtype=np.float64)
-    be = kernels.active_backend()
-    n = x0s.shape[0]
-    if workers <= 1 or n < 2:
-        finals, fail_steps = be.run_batch(
-            params.a, params.b, params.c, x0s, y0, z0, h, n_steps
-        )
-    else:
-        finals = np.empty((n, 3), dtype=np.float64)
-        fail_steps = np.zeros(n, dtype=np.int64)
-        bounds = np.linspace(0, n, min(workers, n) + 1, dtype=int)
-
-        def run_chunk(lo: int, hi: int) -> None:
-            finals[lo:hi], fail_steps[lo:hi] = be.run_batch(
-                params.a, params.b, params.c, x0s[lo:hi], y0, z0, h, n_steps
-            )
-
-        with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
-            futures = [
-                pool.submit(run_chunk, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for fut in futures:
-                fut.result()
+    finals, fail_steps = kernels.active_backend().run_batch(
+        params.a, params.b, params.c, x0_values, y0, z0, h, n_steps
+    )
     failing = np.flatnonzero(fail_steps)
     if failing.size:
         entry = int(failing[0])

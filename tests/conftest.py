@@ -14,6 +14,20 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+def pytest_report_header(config):
+    names = kernels.available_backends()
+    try:
+        active = kernels.active_backend().name
+    except ValueError as exc:
+        active = f"none ({exc})"
+    lines = [f"rosslercrypt backends: available {', '.join(names)}; active {active}"]
+    if "numba" not in names:
+        lines.append(
+            "numba does not import: the numba-vs-numpy equality tests are skipped"
+        )
+    return lines
+
+
 @pytest.fixture(scope="session", autouse=True)
 def warm_backends():
     # Compile the numba kernels (and touch the numpy path) before any test

@@ -63,12 +63,6 @@ class TestCodebook:
         )[0]
         assert codebook.entries[65] == expected
 
-    @pytest.mark.parametrize("workers", [2, 4, 9])
-    def test_worker_count_does_not_change_bits(self, reference_key, workers):
-        serial = build_codebook(reference_key)
-        parallel = build_codebook(reference_key, workers=workers)
-        assert serial.entries.tobytes() == parallel.entries.tobytes()
-
     def test_divergent_key_raises_with_byte_and_step(self):
         bad = RosslerKey(0.2, 0.2, 5.7, 0.0001, 0.0001, 10.0, 500)
         with pytest.raises(DivergenceError) as exc_info:
@@ -104,14 +98,6 @@ class TestEncrypt:
         first = encrypt(b"determinism", reference_key)
         second = encrypt(b"determinism", reference_key)
         assert first.values.tobytes() == second.values.tobytes()
-
-    @pytest.mark.parametrize("workers", [2, 5])
-    def test_worker_count_does_not_change_bits(self, reference_key, workers):
-        message = b"worker independence"
-        assert (
-            encrypt(message, reference_key).values.tobytes()
-            == encrypt(message, reference_key, workers=workers).values.tobytes()
-        )
 
 
 class TestDecrypt:

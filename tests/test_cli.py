@@ -137,6 +137,19 @@ class TestKeygen:
         assert code == 2
         assert err
 
+    def test_exhausted_key_search_exits_1(self, capsys, tmp_path, monkeypatch):
+        from rosslercrypt import KeyValidationReport, keys
+
+        monkeypatch.setattr(
+            keys, "validate_key", lambda key: KeyValidationReport(False, "divergent")
+        )
+        path = tmp_path / "none.key"
+        code, out, err = run_cli(capsys, ["keygen", "--seed", "1", "--out", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.exists()
+
 
 class TestEncryptDecrypt:
     def test_file_round_trip(self, capsys, key_file, tmp_path):
@@ -309,6 +322,19 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2^112"
+
+    def test_unknown_backend_is_a_usage_error(self):
+        env = dict(os.environ, ROSSLERCRYPT_BACKEND="fortran")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rosslercrypt", "simulate", "--steps", "10"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "fortran" in proc.stderr
 
     @pytest.mark.skipif(
         len(kernels.available_backends()) < 2, reason="numba backend unavailable"

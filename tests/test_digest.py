@@ -136,6 +136,14 @@ class TestComputeDigest:
         expected = oracles.rossler_endpoint(0.2, 0.2, 5.7, x0, 0.0001, 0.0001, 0.1, 500)[0]
         assert compute_digest(message, reference_key).value == expected
 
+    def test_collision_under_every_key(self, reference_key):
+        # 1*11 + 2*21 == 1*13 + 2*20 == 53: equal sums, so equal digests
+        # whatever the key.
+        first, second = b"\x0a\x14", b"\x0c\x13"
+        assert weighted_sum(first) == weighted_sum(second) == 53 / 1024
+        for key in (reference_key, generate_key(42)):
+            assert compute_digest(first, key).hex() == compute_digest(second, key).hex()
+
 
 class TestVerifyDigest:
     def test_round_trip(self, reference_key):

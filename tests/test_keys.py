@@ -161,11 +161,6 @@ class TestValidateKey:
         assert report.reason == "collision"
         assert report.detail == (3, 200)
 
-    def test_report_independent_of_worker_count(self, reference_key):
-        assert validate_key(reference_key, workers=4) == validate_key(reference_key)
-        bad = RosslerKey(0.2, 0.2, 5.7, 0.0001, 0.0001, 10.0, 500)
-        assert validate_key(bad, workers=4) == validate_key(bad)
-
     def test_valid_key_implies_usable_codebook(self):
         # Restated postcondition, sampled over generated keys.
         import numpy as np

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import collections
+import importlib.util
 import math
 import random
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,15 +224,6 @@ class TestBatch:
             )
             assert tuple(finals[i]) == (single.x, single.y, single.z)
 
-    @pytest.mark.parametrize("workers", [1, 2, 4, 7])
-    def test_worker_count_does_not_change_bits(self, workers):
-        x0s = np.array([(b + 1) / 1024.0 for b in range(256)])
-        base = run_machine_batch(CANONICAL_PARAMS, x0s, 0.0001, 0.0001, 150, 0.1)
-        split = run_machine_batch(
-            CANONICAL_PARAMS, x0s, 0.0001, 0.0001, 150, 0.1, workers=workers
-        )
-        assert bits(base) == bits(split)
-
     def test_divergence_reports_lowest_entry_and_step(self):
         x0s = np.array([(b + 1) / 1024.0 for b in range(16)])
         oracle_steps = [
@@ -240,6 +235,90 @@ class TestBatch:
             run_machine_batch(CANONICAL_PARAMS, x0s, 0.0001, 0.0001, 50, 10.0)
         assert exc_info.value.entry == lowest
         assert exc_info.value.step == oracle_steps[lowest]
+
+
+class TestBackendSelection:
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError):
+            kernels.get_backend("fortran")
+
+    def test_active_backend_is_chosen_once(self):
+        assert kernels.active_backend() is kernels.active_backend()
+        assert kernels.active_backend().name in kernels.available_backends()
+
+
+def stand_in_backend():
+    """A backend built like the numba one, by a compiler that only counts
+    the calls of each function it compiled."""
+    calls = collections.Counter()
+
+    def compile_fn(fn):
+        def compiled(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return compiled
+
+    return kernels._compiled_backend("stand-in", compile_fn), calls
+
+
+class TestCompiledBackend:
+    """The compiled backend's wiring, checked with a stand-in compiler
+    (numba need not be importable)."""
+
+    def test_bits_match_numpy_backend(self):
+        compiled, _ = stand_in_backend()
+        numpy_be = kernels.get_backend("numpy")
+        args = (0.2, 0.2, 5.7, 0.0001, 0.0001, 0.0001, 0.1, 500)
+        assert compiled.run_endpoint(*args) == numpy_be.run_endpoint(*args)
+        states_c, fail_c = compiled.run_trajectory(*args)
+        states_np, fail_np = numpy_be.run_trajectory(*args)
+        assert fail_c == fail_np == 0
+        assert bits(states_c) == bits(states_np)
+
+        x0s = np.array([(b + 1) / 1024.0 for b in range(256)])
+        args = (0.2, 0.2, 5.7, x0s, 0.0001, 0.0001, 0.1, 400)
+        finals_c, fails_c = compiled.run_batch(*args)
+        finals_np, fails_np = numpy_be.run_batch(*args)
+        assert bits(finals_c) == bits(finals_np)
+        assert fails_c.tolist() == fails_np.tolist() == [0] * 256
+
+    def test_divergence_steps_match_numpy_backend(self):
+        compiled, _ = stand_in_backend()
+        numpy_be = kernels.get_backend("numpy")
+        x0s = np.array([(b + 1) / 1024.0 for b in range(32)])
+        args = (0.2, 0.2, 5.7, x0s, 0.0001, 0.0001, 10.0, 60)
+        with np.errstate(all="ignore"):  # the scalar loop steps numpy scalars
+            _, fails_c = compiled.run_batch(*args)
+        _, fails_np = numpy_be.run_batch(*args)
+        assert (fails_c > 0).any()
+        assert fails_c.tolist() == fails_np.tolist()
+
+        args = (0.2, 0.2, 5.7, 0.25, 0.0001, 0.0001, 10.0, 60)
+        states_c, fail_c = compiled.run_trajectory(*args)
+        states_np, fail_np = numpy_be.run_trajectory(*args)
+        assert fail_c == fail_np > 0
+        assert bits(states_c[: fail_c + 1]) == bits(states_np[: fail_np + 1])
+
+    def test_loops_call_the_compiled_endpoint(self):
+        compiled, calls = stand_in_backend()
+        compiled.run_trajectory(0.2, 0.2, 5.7, 0.0001, 0.0001, 0.0001, 0.1, 50)
+        assert calls == {"_trajectory": 1, "_endpoint": 50}
+        x0s = np.array([(b + 1) / 1024.0 for b in range(16)])
+        compiled.run_batch(0.2, 0.2, 5.7, x0s, 0.0001, 0.0001, 0.1, 30)
+        assert calls == {"_trajectory": 1, "_batch": 1, "_endpoint": 66}
+
+    def test_module_endpoint_stays_the_python_source(self):
+        stand_in_backend()
+        assert isinstance(kernels._endpoint, types.FunctionType)
+        assert kernels._endpoint.__module__ == "rosslercrypt.kernels"
+        assert kernels.get_backend("numpy").endpoint is kernels._endpoint
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        # Operators in one RK4 step of the step loop, read from its source.
+        assert tracer.step_op_count() == 67
 
 
 @pytest.mark.skipif(
@@ -291,7 +370,3 @@ class TestBackendEquivalence:
         _, fails_np = numpy_be.run_batch(*args)
         assert (fails_nb > 0).any()
         assert fails_nb.tolist() == fails_np.tolist()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(RuntimeError):
-            kernels.get_backend("fortran")
