@@ -38,7 +38,7 @@ def map_byte(b: int) -> float:
     return (b + 1) / 1024.0
 
 
-_BYTE_X0S = np.array([(b + 1) / 1024.0 for b in range(256)])
+_BYTE_X0S = np.array([map_byte(b) for b in range(256)])
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,21 @@ class Codebook:
     def __post_init__(self):
         if self.entries.shape != (256,):
             raise ValueError("codebook must have exactly 256 entries")
+
+    def first_byte_of(self, values) -> np.ndarray:
+        """For each value, the lowest byte whose entry has the same bits, or -1.
+
+        Bits, not float equality, decide: +0.0 and -0.0 are different values.
+        """
+        bits = self.entries.view(np.uint64)
+        query = np.asarray(values, dtype=np.float64).view(np.uint64)
+        # Equal bits sort by byte (stable), and searchsorted finds the first.
+        order = np.argsort(bits, kind="stable")
+        first = np.searchsorted(bits[order], query)
+        np.minimum(first, 255, out=first)
+        np.take(order, first, out=first)
+        first[bits[first] != query] = -1
+        return first
 
 
 @dataclass(frozen=True)
@@ -81,7 +96,7 @@ def encrypt(plaintext: bytes, key: RosslerKey) -> Ciphertext:
     if len(plaintext) == 0:
         return Ciphertext(values=np.empty(0, dtype=np.float64))
     indices = np.frombuffer(plaintext, dtype=np.uint8)
-    return Ciphertext(values=codebook.entries[indices].copy())
+    return Ciphertext(values=codebook.entries[indices])
 
 
 def decrypt(
@@ -94,7 +109,8 @@ def decrypt(
 
     Exact mode (tolerance None, the default): each value must bit-match a
     codebook entry. Sound because both sides run identical deterministic
-    arithmetic.
+    arithmetic. If entries repeat (only a key that validate_key rejects
+    gives such a codebook), a shared value decrypts to the lowest byte.
 
     Tolerant mode (tolerance = eps): the nearest entry wins if it is within
     eps and the second-nearest is more than eps away. Meant only for
@@ -107,16 +123,11 @@ def decrypt(
         raise FormatError(f"non-finite ciphertext value at position {pos}")
     codebook = build_codebook(key)
     if tolerance is None:
-        by_bits = {
-            struct.pack("<d", float(v)): b for b, v in enumerate(codebook.entries)
-        }
-        out = bytearray(values.size)
-        for i, v in enumerate(values):
-            b = by_bits.get(struct.pack("<d", float(v)))
-            if b is None:
-                raise NoMatchError(i)
-            out[i] = b
-        return bytes(out)
+        first = codebook.first_byte_of(values)
+        misses = np.flatnonzero(first < 0)
+        if misses.size:
+            raise NoMatchError(int(misses[0]))
+        return first.astype(np.uint8).tobytes()
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     out = bytearray(values.size)
@@ -151,7 +162,7 @@ def deserialize_ciphertext(data: bytes) -> Ciphertext:
         raise FormatError(
             f"ciphertext length {len(data)} does not match count {count}"
         )
-    values = np.frombuffer(data[13:], dtype=">f8").astype(np.float64)
+    values = np.frombuffer(data, dtype=">f8", offset=13).astype(np.float64)
     if values.size and not np.isfinite(values).all():
         pos = int(np.flatnonzero(~np.isfinite(values))[0])
         raise FormatError(f"non-finite ciphertext value at position {pos}")

@@ -3,7 +3,8 @@
 Subcommands: simulate, keygen, encrypt, decrypt, digest, verify, keyspace.
 Machine-readable output goes to stdout, diagnostics to stderr. Exit codes:
 0 success, 1 verification or match failure (including divergence and
-exhausted key generation), 2 usage or format errors.
+exhausted key generation), 2 usage or format errors (including a request
+too large to allocate).
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_key(path: str) -> keys.RosslerKey:
+def _read(path: str) -> bytes:
     with open(path, "rb") as f:
-        return keys.deserialize_key(f.read())
+        return f.read()
 
 
 def _trajectory_csv(traj: ode.Trajectory) -> str:
@@ -127,10 +128,8 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_encrypt(args) -> int:
-    key = _load_key(args.key)
-    with open(args.in_path, "rb") as f:
-        plaintext = f.read()
-    ct = cipher.encrypt(plaintext, key)
+    key = keys.deserialize_key(_read(args.key))
+    ct = cipher.encrypt(_read(args.in_path), key)
     with open(args.out, "wb") as f:
         f.write(cipher.serialize_ciphertext(ct))
     print(len(ct))
@@ -138,9 +137,8 @@ def _cmd_encrypt(args) -> int:
 
 
 def _cmd_decrypt(args) -> int:
-    key = _load_key(args.key)
-    with open(args.in_path, "rb") as f:
-        ct = cipher.deserialize_ciphertext(f.read())
+    key = keys.deserialize_key(_read(args.key))
+    ct = cipher.deserialize_ciphertext(_read(args.in_path))
     recovered = cipher.decrypt(ct, key, tolerance=args.tolerance)
     with open(args.out, "wb") as f:
         f.write(recovered)
@@ -149,19 +147,15 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_digest(args) -> int:
-    key = _load_key(args.key)
-    with open(args.in_path, "rb") as f:
-        message = f.read()
-    print(digest_mod.compute_digest(message, key).hex())
+    key = keys.deserialize_key(_read(args.key))
+    print(digest_mod.compute_digest(_read(args.in_path), key).hex())
     return 0
 
 
 def _cmd_verify(args) -> int:
-    key = _load_key(args.key)
+    key = keys.deserialize_key(_read(args.key))
     claimed = digest_mod.Digest.from_hex(args.digest)
-    with open(args.in_path, "rb") as f:
-        message = f.read()
-    if digest_mod.verify_digest(message, key, claimed):
+    if digest_mod.verify_digest(_read(args.in_path), key, claimed):
         print("ok")
         return 0
     print("mismatch")
@@ -199,8 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NoMatchError, AmbiguousError, DivergenceError, KeygenExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # FormatError is a ValueError; so is a bad ROSSLERCRYPT_BACKEND.
+        # MemoryError: numpy refused an array, e.g. for a huge --steps.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

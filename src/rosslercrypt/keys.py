@@ -12,8 +12,6 @@ import math
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cipher import build_codebook
 from .errors import DivergenceError, FormatError, KeygenExhausted
 
@@ -112,6 +110,16 @@ def generate_key(seed: int) -> RosslerKey:
     raise KeygenExhausted("no valid key among 1000 consecutive candidate seeds")
 
 
+def _unusable(key: RosslerKey) -> str | None:
+    """Why the key cannot drive the machine, or None: "nonfinite_parameter"
+    (a field is NaN or infinite) or "out_of_range" (h <= 0 or N < 1)."""
+    if not all(map(math.isfinite, (key.a, key.b, key.c, key.y0, key.z0, key.h))):
+        return "nonfinite_parameter"
+    if key.h <= 0 or key.n_steps < 1:
+        return "out_of_range"
+    return None
+
+
 def validate_key(key: RosslerKey) -> KeyValidationReport:
     """Check that the key yields a usable codebook.
 
@@ -120,35 +128,27 @@ def validate_key(key: RosslerKey) -> KeyValidationReport:
     built because collision freedom is exactly what exact-mode decryption
     rests on.
     """
-    for v in (key.a, key.b, key.c, key.y0, key.z0, key.h):
-        if not math.isfinite(v):
-            return KeyValidationReport(False, "nonfinite_parameter")
-    if key.h <= 0 or key.n_steps < 1:
-        return KeyValidationReport(False, "out_of_range")
+    if reason := _unusable(key):
+        return KeyValidationReport(False, reason)
     try:
         codebook = build_codebook(key)
     except DivergenceError as err:
         return KeyValidationReport(
             False, "divergent", (int(err.entry), int(err.step))
         )
-    bits = codebook.entries.view(np.uint64)
-    seen: dict[int, int] = {}
-    for b in range(256):
-        pattern = int(bits[b])
-        if pattern in seen:
-            return KeyValidationReport(False, "collision", (seen[pattern], b))
-        seen[pattern] = b
+    first = codebook.first_byte_of(codebook.entries)
+    repeats = (first != range(256)).nonzero()[0]
+    if repeats.size:
+        b2 = int(repeats[0])
+        return KeyValidationReport(False, "collision", (int(first[b2]), b2))
     return KeyValidationReport(True)
 
 
 def serialize_key(key: RosslerKey) -> bytes:
     """61-byte wire form: "RKEY", version 0x01, six big-endian binary64
     values (a, b, c, y0, z0, h), then N as big-endian u64."""
-    for v in (key.a, key.b, key.c, key.y0, key.z0, key.h):
-        if not math.isfinite(v):
-            raise ValueError("cannot serialize a key with non-finite fields")
-    if not (key.h > 0 and key.n_steps >= 1):
-        raise ValueError("cannot serialize a key with h <= 0 or N < 1")
+    if reason := _unusable(key):
+        raise ValueError(f"cannot serialize an unusable key: {reason}")
     return KEY_MAGIC + struct.pack(
         ">B6dQ", KEY_VERSION, key.a, key.b, key.c, key.y0, key.z0, key.h, key.n_steps
     )
@@ -167,11 +167,7 @@ def deserialize_key(data: bytes) -> RosslerKey:
     version, a, b, c, y0, z0, h, n_steps = struct.unpack(">B6dQ", data[4:])
     if version != KEY_VERSION:
         raise FormatError(f"unsupported key version {version}")
-    for v in (a, b, c, y0, z0, h):
-        if not math.isfinite(v):
-            raise ValueError("key fields must be finite")
-    if h <= 0:
-        raise ValueError("key step size must be positive")
-    if n_steps < 1:
-        raise ValueError("key step count must be >= 1")
-    return RosslerKey(a=a, b=b, c=c, y0=y0, z0=z0, h=h, n_steps=int(n_steps))
+    key = RosslerKey(a=a, b=b, c=c, y0=y0, z0=z0, h=h, n_steps=int(n_steps))
+    if reason := _unusable(key):
+        raise ValueError(f"unusable key: {reason}")
+    return key

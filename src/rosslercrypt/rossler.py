@@ -44,10 +44,6 @@ class StateVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
 
-    @classmethod
-    def from_array(cls, arr) -> StateVector:
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
-
 
 #: Parameters in the classic chaotic regime; the simulation default.
 CANONICAL_PARAMS = SystemParams(0.2, 0.2, 5.7)

@@ -8,6 +8,7 @@ output and oracle output actually check two separate code paths.
 from __future__ import annotations
 
 import math
+import struct
 
 MASK64 = (1 << 64) - 1
 
@@ -90,6 +91,25 @@ def candidate_key_fields(seed):
 
 def byte_x0(b):
     return (b + 1) / 1024.0
+
+
+def exact_decrypt(values, entries):
+    """Exact-mode inverse of the codebook substitution.
+
+    A value decrypts to the lowest byte whose entry has the same binary64
+    bits. Returns the recovered bytes, or the index of the first value that
+    matches no entry.
+    """
+    by_bits = {}
+    for b, entry in enumerate(entries):
+        by_bits.setdefault(struct.pack("<d", entry), b)
+    out = bytearray()
+    for i, v in enumerate(values):
+        b = by_bits.get(struct.pack("<d", v))
+        if b is None:
+            return i
+        out.append(b)
+    return bytes(out)
 
 
 def weighted_sum(message):

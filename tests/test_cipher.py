@@ -18,6 +18,7 @@ from rosslercrypt import (
     NoMatchError,
     RosslerKey,
     build_codebook,
+    cipher,
     decrypt,
     deserialize_ciphertext,
     encrypt,
@@ -168,6 +169,74 @@ class TestDecrypt:
 
     def test_empty_ciphertext(self, reference_key):
         assert decrypt(Ciphertext(values=np.empty(0)), reference_key) == b""
+
+
+def assert_decrypt_matches_oracle(values, entries, key):
+    values = np.asarray(values, dtype=np.float64)
+    expected = oracles.exact_decrypt(values.tolist(), entries.tolist())
+    ct = Ciphertext(values=values)
+    if isinstance(expected, int):
+        with pytest.raises(NoMatchError) as exc_info:
+            decrypt(ct, key)
+        assert exc_info.value.position == expected
+    else:
+        assert decrypt(ct, key) == expected
+
+
+class TestExactInverse:
+    """Exact decrypt against the independent oracle, on hits and misses."""
+
+    @pytest.fixture()
+    def entries(self, reference_key, monkeypatch):
+        # Build the codebook once and serve it to every decrypt call.
+        codebook = build_codebook(reference_key)
+        monkeypatch.setattr(cipher, "build_codebook", lambda key: codebook)
+        return codebook.entries
+
+    def test_round_trips(self, entries, reference_key):
+        message = np.random.default_rng(1).integers(0, 256, 2000)
+        for plain in (np.arange(256), message):
+            assert_decrypt_matches_oracle(entries[plain], entries, reference_key)
+
+    def test_one_ulp_neighbours(self, entries, reference_key):
+        for direction in (-np.inf, np.inf):
+            for b, neighbour in enumerate(np.nextafter(entries, direction)):
+                values = entries.copy()
+                values[b] = neighbour
+                assert_decrypt_matches_oracle(values, entries, reference_key)
+
+    @pytest.mark.parametrize("order", ["float", "bits"])
+    def test_beyond_every_entry(self, entries, reference_key, order):
+        if order == "float":
+            low = np.nextafter(entries.min(), -np.inf)
+            high = np.nextafter(entries.max(), np.inf)
+        else:
+            # Unsigned bit patterns: +0.0 is the lowest, -DBL_MAX the highest finite.
+            low, high = 0.0, -np.finfo(np.float64).max
+        for v in (low, high):
+            assert_decrypt_matches_oracle([v], entries, reference_key)
+            assert_decrypt_matches_oracle(np.append(entries, v), entries, reference_key)
+
+    def test_miss_at_last_position(self, entries, reference_key):
+        values = entries[np.arange(1000) % 256]
+        values[-1] = 123.456
+        assert_decrypt_matches_oracle(values, entries, reference_key)
+        with pytest.raises(NoMatchError) as exc_info:
+            decrypt(Ciphertext(values=values), reference_key)
+        assert exc_info.value.position == 999
+
+    def test_repeated_entries_decrypt_to_lowest_byte(self, reference_key, monkeypatch):
+        # Only a key that validate_key rejects gives such a codebook.
+        entries = build_codebook(reference_key).entries.copy()
+        entries[[200, 250]] = entries[3]
+        entries[60] = entries[10]
+        entries[[5, 7]] = 0.0
+        entries[6] = -0.0
+        monkeypatch.setattr(cipher, "build_codebook", lambda key: Codebook(entries))
+        values = np.append(entries, [0.0, -0.0])
+        assert_decrypt_matches_oracle(values, entries, reference_key)
+        shared = Ciphertext(values=entries[[250, 200, 60, 7, 6]])
+        assert decrypt(shared, reference_key) == bytes([3, 3, 10, 5, 6])
 
 
 class TestWireFormat:

@@ -86,6 +86,13 @@ class TestSimulate:
         assert code == 2
         assert err
 
+    def test_huge_steps_usage_error(self, capsys):
+        # numpy refuses the 21.3 PiB trajectory before allocating any of it.
+        code, out, err = run_cli(capsys, ["simulate", "--steps", str(10**15)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_nonpositive_h_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["simulate", "--h", "0"])
         assert code == 2

@@ -161,6 +161,22 @@ class TestValidateKey:
         assert report.reason == "collision"
         assert report.detail == (3, 200)
 
+        # With two collision groups, the lowest repeating byte is reported.
+        entries[50] = entries[10]
+        assert validate_key(reference_key).detail == (10, 50)
+
+    def test_signed_zeros_are_not_a_collision(self, reference_key, monkeypatch):
+        from rosslercrypt import cipher
+
+        entries = build_codebook(reference_key).entries.copy()
+        entries[3] = 0.0
+        entries[200] = -0.0
+
+        monkeypatch.setattr(
+            keys, "build_codebook", lambda key, **kw: cipher.Codebook(entries)
+        )
+        assert validate_key(reference_key) == KeyValidationReport(True)
+
     def test_valid_key_implies_usable_codebook(self):
         # Restated postcondition, sampled over generated keys.
         import numpy as np
@@ -226,17 +242,27 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "patch",
         [
-            ("h", 0.0),
-            ("h", -0.5),
-            ("h", math.inf),
-            ("a", math.nan),
-            ("n_steps", 0),
+            ("h", 0.0, "out_of_range"),
+            ("h", -0.5, "out_of_range"),
+            ("h", math.inf, "nonfinite_parameter"),
+            ("a", math.nan, "nonfinite_parameter"),
+            ("n_steps", 0, "out_of_range"),
+            ("b", -math.inf, "nonfinite_parameter"),
+            ("c", math.inf, "nonfinite_parameter"),
+            ("y0", math.nan, "nonfinite_parameter"),
+            ("z0", -math.inf, "nonfinite_parameter"),
+            ("h", math.nan, "nonfinite_parameter"),
         ],
     )
     def test_invalid_decoded_fields_raise_value_error(self, patch, reference_key):
-        field, bad = patch
+        # One usability rule behind all three callers: deserialize_key,
+        # serialize_key and validate_key.
+        field, bad, reason = patch
         values = dict(reference_key.__dict__)
         values[field] = bad
+        assert validate_key(RosslerKey(**values)).reason == reason
+        with pytest.raises(ValueError):
+            serialize_key(RosslerKey(**values))
         blob = keys.KEY_MAGIC + struct.pack(
             ">B6dQ",
             keys.KEY_VERSION,
