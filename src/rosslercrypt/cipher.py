@@ -40,6 +40,9 @@ def map_byte(b: int) -> float:
 
 _BYTE_X0S = np.array([map_byte(b) for b in range(256)])
 
+# Values per block of tolerant decrypt; bounds its temporaries (~200 B/value).
+_TOLERANT_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class Codebook:
@@ -65,6 +68,36 @@ class Codebook:
         np.take(order, first, out=first)
         first[bits[first] != query] = -1
         return first
+
+    def nearest_bytes(self, values: np.ndarray, tolerance: float) -> bytes:
+        """For each value, the byte whose entry is nearest, as tolerant
+        decrypt defines it.
+
+        The nearest entry must be within tolerance (else NoMatchError) and
+        the second-nearest more than tolerance away (else AmbiguousError),
+        both at the first failing position, NoMatchError first.
+        """
+        # |fl(e - v)| falls then rises along the sorted entries e, so the two
+        # nearest entries are among the two on each side of v's insertion
+        # point. The infinite pads stand in for neighbours past either end.
+        order = np.argsort(self.entries)
+        table = np.concatenate(([-np.inf] * 2, self.entries[order], [np.inf] * 2))
+        out = np.empty(values.size, dtype=np.uint8)
+        for start in range(0, values.size, _TOLERANT_BLOCK):
+            block = values[start : start + _TOLERANT_BLOCK]
+            near = np.searchsorted(table[2:-2], block)[:, None] + np.arange(4)
+            dist = np.abs(table[near] - block[:, None])
+            two = np.partition(dist, 1, axis=1)
+            miss = two[:, 0] > tolerance
+            bad = np.flatnonzero(miss | (two[:, 1] <= tolerance))
+            if bad.size:
+                i = int(bad[0])
+                if miss[i]:
+                    raise NoMatchError(start + i)
+                raise AmbiguousError(start + i)
+            nearest = near[np.arange(block.size), dist.argmin(axis=1)]
+            out[start : start + block.size] = order[nearest - 2]
+        return out.tobytes()
 
 
 @dataclass(frozen=True)
@@ -130,17 +163,7 @@ def decrypt(
         return first.astype(np.uint8).tobytes()
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
-    out = bytearray(values.size)
-    for i, v in enumerate(values):
-        dist = np.abs(codebook.entries - v)
-        nearest = int(np.argmin(dist))
-        d_sorted = np.partition(dist, 1)
-        if d_sorted[0] > tolerance:
-            raise NoMatchError(i)
-        if d_sorted[1] <= tolerance:
-            raise AmbiguousError(i)
-        out[i] = nearest
-    return bytes(out)
+    return codebook.nearest_bytes(values, tolerance)
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:

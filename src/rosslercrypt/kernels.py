@@ -5,9 +5,9 @@ of runs sharing parameters) are defined once, below, as plain Python:
 
 * ``numba``: those loops compiled with ``numba.njit``. Default whenever
   numba imports.
-* ``numpy``: the same loops run as plain Python, except that batches go
-  through a vectorized runner that marches all entries together with numpy
-  array ops.
+* ``numpy``: the same loops run as plain Python, except that a batch runs
+  _endpoint's own code once on arrays, stepping all entries together; the
+  entries that diverged are then rerun alone by the scalar loop.
 
 Set ``ROSSLERCRYPT_BACKEND=numba`` or ``ROSSLERCRYPT_BACKEND=numpy`` to force
 a backend (read on the first ``active_backend()`` call). Both backends must
@@ -100,52 +100,34 @@ def _batch(a, b, c, x0s, y0, z0, h, n, finals, fail_steps):
         fail_steps[i] = fail
 
 
-def _batch_numpy(a, b, c, x0s, y0, z0, h, n, finals, fail_steps):
-    """Vectorized twin of _batch: all entries step together.
+def _rebind(fn: Callable, **names) -> Callable:
+    """A copy of fn that finds the given names in place of its module globals."""
+    return types.FunctionType(fn.__code__, {**fn.__globals__, **names}, fn.__name__)
 
-    Elementwise numpy ops apply the same binary64 operations per entry as
-    the scalar loop, so results are bit-identical. Entries that diverge are
-    carried along as inf/nan and tagged with their first failing step.
+
+# _endpoint's code with a finiteness check that always passes, so that it
+# runs on arrays: each numpy op is the same binary64 operation per entry.
+_endpoint_unchecked = _rebind(
+    _endpoint, math=types.SimpleNamespace(isfinite=lambda v: True)
+)
+
+
+def _batch_numpy(a, b, c, x0s, y0, z0, h, n, finals, fail_steps):
+    """_batch with all entries stepped together by _endpoint's code on arrays.
+
+    The array pass does not stop at a failure, but it need not: once a
+    component is +-inf or NaN it stays so (x + t is non-finite for every t),
+    so the entries whose finals are non-finite are exactly those that
+    diverged. Each is rerun alone by the scalar loop, which stops at its
+    fail step, so finals and fail_steps equal _batch's.
     """
-    x = x0s.astype(np.float64, copy=True)
-    y = np.full_like(x, y0)
-    z = np.full_like(x, z0)
-    half_h = h / 2.0
-    sixth_h = h / 6.0
     with np.errstate(all="ignore"):
-        for k in range(1, n + 1):
-            ax = -y - z
-            ay = x + a * y
-            az = b + z * (x - c)
-            x1 = x + half_h * ax
-            y1 = y + half_h * ay
-            z1 = z + half_h * az
-            bx = -y1 - z1
-            by = x1 + a * y1
-            bz = b + z1 * (x1 - c)
-            x2 = x + half_h * bx
-            y2 = y + half_h * by
-            z2 = z + half_h * bz
-            cx = -y2 - z2
-            cy = x2 + a * y2
-            cz = b + z2 * (x2 - c)
-            x3 = x + h * cx
-            y3 = y + h * cy
-            z3 = z + h * cz
-            dx = -y3 - z3
-            dy = x3 + a * y3
-            dz = b + z3 * (x3 - c)
-            x = x + sixth_h * (ax + 2.0 * bx + 2.0 * cx + dx)
-            y = y + sixth_h * (ay + 2.0 * by + 2.0 * cy + dy)
-            z = z + sixth_h * (az + 2.0 * bz + 2.0 * cz + dz)
-            newly_bad = (fail_steps == 0) & ~(
-                np.isfinite(x) & np.isfinite(y) & np.isfinite(z)
-            )
-            if newly_bad.any():
-                fail_steps[newly_bad] = k
-    finals[:, 0] = x
-    finals[:, 1] = y
-    finals[:, 2] = z
+        finals[:, 0], finals[:, 1], finals[:, 2], _ = _endpoint_unchecked(
+            a, b, c, x0s, y0, z0, h, n
+        )
+        for i in np.flatnonzero(~np.isfinite(finals).all(axis=1)):
+            x, y, z, fail_steps[i] = _endpoint(a, b, c, x0s[i], y0, z0, h, n)
+            finals[i] = x, y, z
 
 
 @dataclass(frozen=True)
@@ -181,18 +163,11 @@ def _compiled_backend(name: str, compile_fn: Callable) -> Backend:
     the compiled loops then call compiled code, from one source per loop.
     """
     endpoint = compile_fn(_endpoint)
-
-    def compile_calling_endpoint(fn: Callable) -> Callable:
-        clone = types.FunctionType(
-            fn.__code__, {**fn.__globals__, "_endpoint": endpoint}, fn.__name__
-        )
-        return compile_fn(clone)
-
     return Backend(
         name,
         endpoint,
-        compile_calling_endpoint(_trajectory),
-        compile_calling_endpoint(_batch),
+        compile_fn(_rebind(_trajectory, _endpoint=endpoint)),
+        compile_fn(_rebind(_batch, _endpoint=endpoint)),
     )
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import struct
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 
 
@@ -109,6 +111,28 @@ def exact_decrypt(values, entries):
         if b is None:
             return i
         out.append(b)
+    return bytes(out)
+
+
+def tolerant_decrypt(values, entries, tolerance):
+    """Tolerant-mode inverse of the codebook substitution, one value at a time.
+
+    The nearest entry wins if it is within tolerance and the second-nearest
+    is more than tolerance away. Returns the recovered bytes, or
+    ("no match" | "ambiguous", index) for the first value that fails (no
+    match is checked first).
+    """
+    entries = np.asarray(entries, dtype=np.float64)
+    out = bytearray(len(values))
+    for i, v in enumerate(values):
+        dist = np.abs(entries - v)
+        nearest = int(np.argmin(dist))
+        d_sorted = np.partition(dist, 1)
+        if d_sorted[0] > tolerance:
+            return ("no match", i)
+        if d_sorted[1] <= tolerance:
+            return ("ambiguous", i)
+        out[i] = nearest
     return bytes(out)
 
 

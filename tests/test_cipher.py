@@ -183,15 +183,16 @@ def assert_decrypt_matches_oracle(values, entries, key):
         assert decrypt(ct, key) == expected
 
 
+@pytest.fixture()
+def entries(reference_key, monkeypatch):
+    # Build the codebook once and serve it to every decrypt call.
+    codebook = build_codebook(reference_key)
+    monkeypatch.setattr(cipher, "build_codebook", lambda key: codebook)
+    return codebook.entries
+
+
 class TestExactInverse:
     """Exact decrypt against the independent oracle, on hits and misses."""
-
-    @pytest.fixture()
-    def entries(self, reference_key, monkeypatch):
-        # Build the codebook once and serve it to every decrypt call.
-        codebook = build_codebook(reference_key)
-        monkeypatch.setattr(cipher, "build_codebook", lambda key: codebook)
-        return codebook.entries
 
     def test_round_trips(self, entries, reference_key):
         message = np.random.default_rng(1).integers(0, 256, 2000)
@@ -237,6 +238,119 @@ class TestExactInverse:
         assert_decrypt_matches_oracle(values, entries, reference_key)
         shared = Ciphertext(values=entries[[250, 200, 60, 7, 6]])
         assert decrypt(shared, reference_key) == bytes([3, 3, 10, 5, 6])
+
+
+def assert_tolerant_matches_oracle(values, entries, key, tolerance):
+    values = np.asarray(values, dtype=np.float64)
+    expected = oracles.tolerant_decrypt(values, entries, tolerance)
+    ct = Ciphertext(values=values)
+    if isinstance(expected, tuple):
+        kind, position = expected
+        error = {"no match": NoMatchError, "ambiguous": AmbiguousError}[kind]
+        with pytest.raises((NoMatchError, AmbiguousError)) as exc_info:
+            decrypt(ct, key, tolerance=tolerance)
+        assert type(exc_info.value) is error
+        assert exc_info.value.position == position
+    else:
+        assert decrypt(ct, key, tolerance=tolerance) == expected
+
+
+def closest_pair(entries, rank=0):
+    """The rank-th closest pair of neighbouring entries: (low, high, gap)."""
+    ordered = np.sort(entries)
+    i = int(np.argsort(np.diff(ordered), kind="stable")[rank])
+    return ordered[i], ordered[i + 1], ordered[i + 1] - ordered[i]
+
+
+class TestTolerantInverse:
+    """Tolerant decrypt against the independent oracle's per-value scan."""
+
+    def test_round_trips(self, entries, reference_key):
+        half_gap = closest_pair(entries)[2] / 2
+        message = np.random.default_rng(2).integers(0, 256, 2000)
+        lossy = np.array([float(f"{v:.15g}") for v in entries[message]])
+        for values in (entries, entries[message], lossy):
+            for tol in (half_gap, 1e-9):
+                assert_tolerant_matches_oracle(values, entries, reference_key, tol)
+
+    def test_tolerance_boundaries(self, entries, reference_key):
+        for tol in (closest_pair(entries)[2] / 2, 1e-9):
+            for sign in (-1.0, 1.0):
+                edge = entries + sign * tol
+                outward = np.nextafter(edge, sign * np.inf)
+                for values in (edge, np.nextafter(edge, 0.0), outward):
+                    assert_tolerant_matches_oracle(values, entries, reference_key, tol)
+                    for v in values:
+                        assert_tolerant_matches_oracle([v], entries, reference_key, tol)
+
+    def test_one_ulp_neighbours(self, entries, reference_key):
+        # Within a generous tolerance every neighbour decrypts; within one
+        # far below an ULP, none does.
+        for direction in (-np.inf, np.inf):
+            neighbours = np.nextafter(entries, direction)
+            for tol in (1e-9, 1e-300):
+                assert_tolerant_matches_oracle(neighbours, entries, reference_key, tol)
+                for v in neighbours:
+                    assert_tolerant_matches_oracle([v], entries, reference_key, tol)
+
+    def test_beyond_every_entry(self, entries, reference_key):
+        low, high = entries.min(), entries.max()
+        for tol in (closest_pair(entries)[2] / 2, 1e-9, 1.0):
+            for offset in (0.0, tol / 2, tol, 2 * tol):
+                for v in (
+                    np.nextafter(low - offset, -np.inf),
+                    np.nextafter(high + offset, np.inf),
+                    low - offset,
+                    high + offset,
+                ):
+                    assert_tolerant_matches_oracle([v], entries, reference_key, tol)
+                    assert_tolerant_matches_oracle(
+                        np.append(entries, v), entries, reference_key, tol
+                    )
+
+    def test_ambiguous_pairs(self, entries, reference_key):
+        for rank in range(5):
+            low, high, gap = closest_pair(entries, rank)
+            for v in (low, high, (low + high) / 2, low + gap / 4):
+                for tol in (gap / 4, gap / 2, gap, 2 * gap, np.inf):
+                    assert_tolerant_matches_oracle(
+                        np.append(entries, v), entries, reference_key, tol
+                    )
+
+    def test_repeated_entries_are_ambiguous(self, reference_key, monkeypatch):
+        entries = build_codebook(reference_key).entries.copy()
+        entries[200] = entries[3]
+        entries[5] = 0.0
+        entries[6] = -0.0
+        monkeypatch.setattr(cipher, "build_codebook", lambda key: Codebook(entries))
+        for tol in (1e-300, 1e-9):
+            assert_tolerant_matches_oracle(entries, entries, reference_key, tol)
+            for v in entries[[3, 5, 6, 200]]:
+                assert_tolerant_matches_oracle([v], entries, reference_key, tol)
+
+    def test_miss_at_last_position(self, entries, reference_key):
+        # Within 3/4 of the closest gap, every entry decrypts and the
+        # midpoint of the closest pair is ambiguous.
+        low, high, gap = closest_pair(entries)
+        values = entries[np.arange(1000) % 256]
+        for last in (123.456, (low + high) / 2):
+            values[-1] = last
+            assert_tolerant_matches_oracle(values, entries, reference_key, 0.75 * gap)
+        with pytest.raises(AmbiguousError) as exc_info:
+            decrypt(Ciphertext(values=values), reference_key, tolerance=0.75 * gap)
+        assert exc_info.value.position == 999
+
+    def test_first_failure_across_blocks(self, entries, reference_key, monkeypatch):
+        monkeypatch.setattr(cipher, "_TOLERANT_BLOCK", 7)
+        low, high, gap = closest_pair(entries)
+        values = entries[np.arange(100) % 256]
+        assert_tolerant_matches_oracle(values, entries, reference_key, 0.75 * gap)
+        values[[56, 62]] = (low + high) / 2, 123.456
+        with pytest.raises(AmbiguousError) as exc_info:
+            decrypt(Ciphertext(values=values), reference_key, tolerance=0.75 * gap)
+        assert exc_info.value.position == 56
+        values[55] = -123.456
+        assert_tolerant_matches_oracle(values, entries, reference_key, 0.75 * gap)
 
 
 class TestWireFormat:

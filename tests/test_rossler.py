@@ -225,16 +225,49 @@ class TestBatch:
             assert tuple(finals[i]) == (single.x, single.y, single.z)
 
     def test_divergence_reports_lowest_entry_and_step(self):
+        # Every entry fails at step 3.
         x0s = np.array([(b + 1) / 1024.0 for b in range(16)])
-        oracle_steps = [
-            oracles.rossler_first_bad_step(0.2, 0.2, 5.7, x0, 0.0001, 0.0001, 10.0, 50)
-            for x0 in x0s
+        steps = assert_batch_matches_oracle(
+            (0.2, 0.2, 5.7), x0s, 0.0001, 0.0001, 10.0, 50
+        )
+        assert set(steps) == {3}
+        # A mix: 158 entries stay finite, 98 diverge at 14 distinct steps
+        # from 205 to 243, one of them at the last step.
+        x0s = np.array([(b + 1) / 1024.0 for b in range(256)])
+        steps = assert_batch_matches_oracle(
+            (0.064, 0.098, 4.962), x0s, -0.079, 0.241, 0.5, 243
+        )
+        assert steps.count(0) == 158
+        assert sorted(set(steps) - {0}) == [
+            205, 206, 215, 216, 217, 218, 219, 228, 229, 230, 233, 241, 242, 243
         ]
-        lowest = next(i for i, s in enumerate(oracle_steps) if s > 0)
-        with pytest.raises(DivergenceError) as exc_info:
-            run_machine_batch(CANONICAL_PARAMS, x0s, 0.0001, 0.0001, 50, 10.0)
-        assert exc_info.value.entry == lowest
-        assert exc_info.value.step == oracle_steps[lowest]
+        assert steps.count(243) == 1
+
+
+def assert_batch_matches_oracle(abc, x0s, y0, z0, h, n) -> list[int]:
+    """Check a diverging batch on every backend against the oracle: fail
+    steps, finals (the state at the fail step, if any) and the entry and
+    step run_machine_batch reports. Returns the oracle's fail steps."""
+    steps = [oracles.rossler_first_bad_step(*abc, x0, y0, z0, h, n) for x0 in x0s]
+    lowest = next(i for i, s in enumerate(steps) if s > 0)
+    with pytest.raises(DivergenceError) as exc_info:
+        run_machine_batch(SystemParams(*abc), x0s, y0, z0, n, h)
+    assert exc_info.value.entry == lowest
+    assert exc_info.value.step == steps[lowest]
+    expected = np.array(
+        [
+            oracles.rossler_endpoint(*abc, x0, y0, z0, h, s or n)
+            for x0, s in zip(x0s, steps)
+        ]
+    )
+    finite = np.array(steps) == 0
+    for name in kernels.available_backends():
+        be = kernels.get_backend(name)
+        finals, fail_steps = be.run_batch(*abc, x0s, y0, z0, h, n)
+        assert fail_steps.tolist() == steps
+        assert bits(finals[finite]) == bits(expected[finite])
+        assert np.array_equal(finals, expected, equal_nan=True)
+    return steps
 
 
 class TestBackendSelection:
@@ -289,10 +322,11 @@ class TestCompiledBackend:
         x0s = np.array([(b + 1) / 1024.0 for b in range(32)])
         args = (0.2, 0.2, 5.7, x0s, 0.0001, 0.0001, 10.0, 60)
         with np.errstate(all="ignore"):  # the scalar loop steps numpy scalars
-            _, fails_c = compiled.run_batch(*args)
-        _, fails_np = numpy_be.run_batch(*args)
+            finals_c, fails_c = compiled.run_batch(*args)
+        finals_np, fails_np = numpy_be.run_batch(*args)
         assert (fails_c > 0).any()
         assert fails_c.tolist() == fails_np.tolist()
+        assert bits(finals_c) == bits(finals_np)
 
         args = (0.2, 0.2, 5.7, 0.25, 0.0001, 0.0001, 10.0, 60)
         states_c, fail_c = compiled.run_trajectory(*args)
@@ -319,6 +353,12 @@ class TestCompiledBackend:
         spec.loader.exec_module(tracer)
         # Operators in one RK4 step of the step loop, read from its source.
         assert tracer.step_op_count() == 67
+
+    def test_step_body_is_written_once(self):
+        # Every backend runs _endpoint's code; a second copy could drift.
+        source = Path(kernels.__file__).read_text()
+        update = "x = x + sixth_h * (ax + 2.0 * bx + 2.0 * cx + dx)"
+        assert source.count(update) == 1
 
 
 @pytest.mark.skipif(
@@ -366,7 +406,8 @@ class TestBackendEquivalence:
         numpy_be = kernels.get_backend("numpy")
         x0s = np.array([(b + 1) / 1024.0 for b in range(32)])
         args = (0.2, 0.2, 5.7, x0s, 0.0001, 0.0001, 10.0, 60)
-        _, fails_nb = numba_be.run_batch(*args)
-        _, fails_np = numpy_be.run_batch(*args)
+        finals_nb, fails_nb = numba_be.run_batch(*args)
+        finals_np, fails_np = numpy_be.run_batch(*args)
         assert (fails_nb > 0).any()
         assert fails_nb.tolist() == fails_np.tolist()
+        assert bits(finals_nb) == bits(finals_np)
