@@ -10,7 +10,7 @@ provide.
 
 from __future__ import annotations
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .cipher import (
     Ciphertext,
@@ -45,25 +45,16 @@ from .keys import (
     serialize_key,
     validate_key,
 )
-from .ode import (
-    RkStages,
-    Trajectory,
-    VectorField,
-    integrate,
-    integrate_trajectory,
-    rk4_stages,
-    rk4_step,
-)
 from .rossler import (
     CANONICAL_PARAMS,
     MachineConfig,
     StateVector,
     SystemParams,
+    Trajectory,
     rossler_field,
     run_machine,
     run_machine_batch,
     run_machine_trajectory,
-    vector_field,
 )
 
 __all__ = [
@@ -79,12 +70,10 @@ __all__ = [
     "KeygenExhausted",
     "MachineConfig",
     "NoMatchError",
-    "RkStages",
     "RosslerKey",
     "StateVector",
     "SystemParams",
     "Trajectory",
-    "VectorField",
     "build_codebook",
     "compute_digest",
     "decrypt",
@@ -93,12 +82,8 @@ __all__ = [
     "encrypt",
     "fold_to_unit",
     "generate_key",
-    "integrate",
-    "integrate_trajectory",
     "keyspace_bits",
     "map_byte",
-    "rk4_stages",
-    "rk4_step",
     "rossler_field",
     "run_machine",
     "run_machine_batch",
@@ -106,7 +91,6 @@ __all__ = [
     "serialize_ciphertext",
     "serialize_key",
     "validate_key",
-    "vector_field",
     "verify_digest",
     "weighted_sum",
 ]

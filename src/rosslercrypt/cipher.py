@@ -150,6 +150,8 @@ def decrypt(
     ciphertext that crossed a lossy decimal re-encoding; unreliable for
     large step counts.
     """
+    if tolerance is not None and not tolerance > 0:
+        raise ValueError("tolerance must be positive")
     values = ct.values
     if values.size and not np.isfinite(values).all():
         pos = int(np.flatnonzero(~np.isfinite(values))[0])
@@ -161,8 +163,6 @@ def decrypt(
         if misses.size:
             raise NoMatchError(int(misses[0]))
         return first.astype(np.uint8).tobytes()
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
     return codebook.nearest_bytes(values, tolerance)
 
 

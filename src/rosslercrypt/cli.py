@@ -14,7 +14,7 @@ import hashlib
 import os
 import sys
 
-from . import __version__, cipher, digest as digest_mod, keys, ode, rossler
+from . import __version__, cipher, digest as digest_mod, keys, rossler
 from .errors import AmbiguousError, DivergenceError, KeygenExhausted, NoMatchError
 
 
@@ -77,7 +77,7 @@ def _read(path: str) -> bytes:
         return f.read()
 
 
-def _trajectory_csv(traj: ode.Trajectory) -> str:
+def _trajectory_csv(traj: rossler.Trajectory) -> str:
     # repr() of a float is the shortest decimal that parses back to the
     # same binary64, so the CSV is lossless.
     lines = ["t,x,y,z"]
@@ -98,7 +98,7 @@ def _cmd_simulate(args) -> int:
     params = rossler.SystemParams(args.a, args.b, args.c)
     init = rossler.StateVector(args.x0, args.y0, args.z0)
     if args.steps == 0:
-        traj = ode.Trajectory(
+        traj = rossler.Trajectory(
             t0=0.0, h=args.h, states=init.as_array().reshape(1, 3)
         )
     else:

@@ -21,6 +21,10 @@ KEY_SIZE = 61
 
 _MASK64 = (1 << 64) - 1
 
+#: Largest usable step count N: a 16-bit key component. The codebook costs
+#: 256 * N RK4 steps, so this bounds the work one key file can ask for.
+MAX_STEPS = 65535
+
 
 @dataclass(frozen=True)
 class RosslerKey:
@@ -112,10 +116,11 @@ def generate_key(seed: int) -> RosslerKey:
 
 def _unusable(key: RosslerKey) -> str | None:
     """Why the key cannot drive the machine, or None: "nonfinite_parameter"
-    (a field is NaN or infinite) or "out_of_range" (h <= 0 or N < 1)."""
+    (a field is NaN or infinite) or "out_of_range" (h <= 0, or N outside
+    1..MAX_STEPS)."""
     if not all(map(math.isfinite, (key.a, key.b, key.c, key.y0, key.z0, key.h))):
         return "nonfinite_parameter"
-    if key.h <= 0 or key.n_steps < 1:
+    if key.h <= 0 or not 1 <= key.n_steps <= MAX_STEPS:
         return "out_of_range"
     return None
 
@@ -123,10 +128,10 @@ def _unusable(key: RosslerKey) -> str | None:
 def validate_key(key: RosslerKey) -> KeyValidationReport:
     """Check that the key yields a usable codebook.
 
-    Valid means: all fields finite, h > 0, N >= 1, all 256 codebook entries
-    finite, and all entries pairwise bit-distinct. The full codebook is
-    built because collision freedom is exactly what exact-mode decryption
-    rests on.
+    Valid means: all fields finite, h > 0, 1 <= N <= MAX_STEPS, all 256
+    codebook entries finite, and all entries pairwise bit-distinct. The
+    full codebook is built because collision freedom is exactly what
+    exact-mode decryption rests on.
     """
     if reason := _unusable(key):
         return KeyValidationReport(False, reason)
@@ -158,7 +163,8 @@ def deserialize_key(data: bytes) -> RosslerKey:
     """Inverse of serialize_key, bit-exact.
 
     FormatError on wrong length, magic, or version; ValueError if the
-    decoded fields are not a usable key (non-finite, h <= 0, N < 1).
+    decoded fields are not a usable key (non-finite, h <= 0, N outside
+    1..MAX_STEPS).
     """
     if len(data) != KEY_SIZE:
         raise FormatError(f"key file must be {KEY_SIZE} bytes, got {len(data)}")

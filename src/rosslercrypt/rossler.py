@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, ode
+from . import kernels
 from .errors import DivergenceError
 
 
@@ -45,6 +45,19 @@ class StateVector:
         return np.array([self.x, self.y, self.z], dtype=np.float64)
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """States sampled every h time units; states[k] is the state at t0 + k*h."""
+
+    t0: float
+    h: float
+    states: np.ndarray
+
+    @property
+    def n_steps(self) -> int:
+        return self.states.shape[0] - 1
+
+
 #: Parameters in the classic chaotic regime; the simulation default.
 CANONICAL_PARAMS = SystemParams(0.2, 0.2, 5.7)
 
@@ -66,7 +79,7 @@ class MachineConfig:
     def run(self, init: StateVector) -> StateVector:
         return run_machine(self.params, init, self.n_steps, self.h)
 
-    def run_trajectory(self, init: StateVector) -> ode.Trajectory:
+    def run_trajectory(self, init: StateVector) -> Trajectory:
         return run_machine_trajectory(self.params, init, self.n_steps, self.h)
 
 
@@ -83,17 +96,6 @@ def rossler_field(params: SystemParams, s: StateVector) -> StateVector:
     )
 
 
-def vector_field(params: SystemParams) -> ode.VectorField:
-    """The same field as a generic 3-dimensional ode.VectorField."""
-    a, b, c = params.a, params.b, params.c
-
-    def f(state: np.ndarray) -> np.ndarray:
-        x, y, z = state[0], state[1], state[2]
-        return np.array([-y - z, x + a * y, b + z * (x - c)])
-
-    return ode.VectorField(dim=3, f=f)
-
-
 def _check_machine_args(params: SystemParams, n_steps: int, h: float) -> None:
     for v in (params.a, params.b, params.c):
         if not math.isfinite(v):
@@ -107,11 +109,7 @@ def _check_machine_args(params: SystemParams, n_steps: int, h: float) -> None:
 def run_machine(
     params: SystemParams, init: StateVector, n_steps: int, h: float
 ) -> StateVector:
-    """State after n_steps RK4 steps of size h from init.
-
-    Bit-identical to integrating vector_field(params) with the generic
-    solver; the dedicated kernels only make it fast.
-    """
+    """State after n_steps RK4 steps of size h from init (kernels._endpoint)."""
     _check_machine_args(params, n_steps, h)
     be = kernels.active_backend()
     x, y, z, fail = be.run_endpoint(
@@ -124,7 +122,7 @@ def run_machine(
 
 def run_machine_trajectory(
     params: SystemParams, init: StateVector, n_steps: int, h: float
-) -> ode.Trajectory:
+) -> Trajectory:
     """Full sampled trajectory; the last state equals run_machine's output."""
     _check_machine_args(params, n_steps, h)
     be = kernels.active_backend()
@@ -137,7 +135,7 @@ def run_machine_trajectory(
             step=fail,
             partial_states=states[:fail].copy(),
         )
-    return ode.Trajectory(t0=0.0, h=h, states=states)
+    return Trajectory(t0=0.0, h=h, states=states)
 
 
 def run_machine_batch(

@@ -7,7 +7,6 @@ compilation is excluded by the session-wide warmup fixture.
 
 from __future__ import annotations
 
-import math
 import random
 import struct
 import time
@@ -28,12 +27,10 @@ from rosslercrypt import (
     generate_key,
     keyspace_bits,
     kernels,
-    ode,
     run_machine,
     run_machine_trajectory,
     serialize_ciphertext,
     serialize_key,
-    vector_field,
     weighted_sum,
 )
 from rosslercrypt.cli import main as cli_main
@@ -101,10 +98,13 @@ def test_criterion_1_default_simulation(capsys):
     finite_ok = rows.shape == (501, 4) and bool(np.isfinite(rows).all())
     max_abs_x = float(np.abs(rows[:, 1]).max())
 
-    reference = ode.integrate_trajectory(
-        vector_field(CANONICAL_PARAMS), SIM_INIT.as_array(), 0.0125, 1600
+    reference = oracles.rk4_run_lists(
+        oracles.rossler_rhs(0.2, 0.2, 5.7),
+        [SIM_INIT.x, SIM_INIT.y, SIM_INIT.z],
+        0.0125,
+        1600,
     )
-    gap = float(np.abs(rows[:201, 1:] - reference.states[::8]).max())
+    gap = float(np.abs(rows[:201, 1:] - np.array(reference[::8])).max())
     agreement_ok = gap < 1e-4
 
     time_ok = elapsed < 1.0
@@ -140,20 +140,26 @@ def test_criterion_1_default_simulation(capsys):
 
 
 def test_criterion_2_rk4_order():
-    field = ode.VectorField(dim=1, f=lambda s: s.copy())
+    # The package's own kernel: the global error at t = 10 from the default
+    # start, against the list oracle at h = 0.1/64, shrinks ~16x per halving.
+    fine = np.array(
+        oracles.rossler_endpoint(
+            0.2, 0.2, 5.7, SIM_INIT.x, SIM_INIT.y, SIM_INIT.z, 0.1 / 64, 6400
+        )
+    )
     start = time.perf_counter()
     errors = []
-    for h, n in [(0.1, 10), (0.05, 20), (0.025, 40)]:
-        out = ode.integrate(field, np.array([1.0]), h, n)
-        errors.append(abs(out[0] - math.e))
+    for h, n in [(0.1, 100), (0.05, 200), (0.025, 400)]:
+        out = run_machine(CANONICAL_PARAMS, SIM_INIT, n, h)
+        errors.append(float(np.abs(out.as_array() - fine).max()))
     elapsed = time.perf_counter() - start
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     ok = all(14 <= r <= 18 for r in ratios) and elapsed < 1.0
     report(
         2,
         ok,
-        f"error shrink factors per halving: {ratios[0]:.2f}, {ratios[1]:.2f} "
-        f"(required [14, 18]), {elapsed * 1000:.1f} ms (<1 s)",
+        f"run_machine error shrink factors per halving: {ratios[0]:.2f}, "
+        f"{ratios[1]:.2f} (required [14, 18]), {elapsed * 1000:.1f} ms (<1 s)",
     )
     assert ok, f"ratios={ratios} elapsed={elapsed}"
 

@@ -167,6 +167,19 @@ class TestDecrypt:
         with pytest.raises(ValueError):
             decrypt(ct, reference_key, tolerance=0.0)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+    def test_bad_tolerance_refused_before_codebook(
+        self, reference_key, monkeypatch, tolerance
+    ):
+        ct = encrypt(b"x", reference_key)
+
+        def no_codebook(key):
+            raise AssertionError("codebook built for a refused call")
+
+        monkeypatch.setattr(cipher, "build_codebook", no_codebook)
+        with pytest.raises(ValueError, match="tolerance"):
+            decrypt(ct, reference_key, tolerance=tolerance)
+
     def test_empty_ciphertext(self, reference_key):
         assert decrypt(Ciphertext(values=np.empty(0)), reference_key) == b""
 

@@ -6,12 +6,14 @@ import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from rosslercrypt import (
     CANONICAL_PARAMS,
     StateVector,
+    __version__,
     cipher,
     deserialize_key,
     digest as digest_mod,
@@ -222,6 +224,22 @@ class TestEncryptDecrypt:
         )
         assert code == 2
 
+    def test_key_with_huge_step_count_exits_2(self, capsys, key_file, tmp_path):
+        # N = 2^64 - 1 would ask for 256 * N RK4 steps; the key is refused.
+        huge = tmp_path / "huge.key"
+        with open(key_file, "rb") as f:
+            huge.write_bytes(f.read()[:-8] + b"\xff" * 8)
+        plain = tmp_path / "p.bin"
+        plain.write_bytes(b"x")
+        code, out, err = run_cli(
+            capsys,
+            ["encrypt", "--key", str(huge), "--in", str(plain), "--out", str(tmp_path / "o")],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: unusable key: out_of_range"]
+        assert not (tmp_path / "o").exists()
+
     def test_tolerant_decrypt_flag(self, capsys, key_file, tmp_path):
         import numpy as np
 
@@ -318,6 +336,14 @@ class TestUsage:
 
     def test_help_exits_0(self, capsys):
         assert run_cli(capsys, ["--help"])[0] == 0
+
+    def test_version_matches_pyproject(self, capsys):
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as f:
+            version = tomllib.load(f)["project"]["version"]
+        assert __version__ == version
+        assert run_cli(capsys, ["--version"])[:2] == (0, version + "\n")
 
 
 class TestSubprocess:

@@ -208,7 +208,7 @@ class TestSerialization:
         h=st.floats(
             min_value=5e-324, max_value=1e300, allow_nan=False, allow_infinity=False
         ),
-        n_steps=st.integers(min_value=1, max_value=2**64 - 1),
+        n_steps=st.integers(min_value=1, max_value=keys.MAX_STEPS),
     )
     def test_round_trip_is_identity_on_full_range(self, a, b, c, y0, z0, h, n_steps):
         key = RosslerKey(a, b, c, y0, z0, h, n_steps)
@@ -252,6 +252,8 @@ class TestSerialization:
             ("y0", math.nan, "nonfinite_parameter"),
             ("z0", -math.inf, "nonfinite_parameter"),
             ("h", math.nan, "nonfinite_parameter"),
+            ("n_steps", keys.MAX_STEPS + 1, "out_of_range"),
+            ("n_steps", 2**64 - 1, "out_of_range"),
         ],
     )
     def test_invalid_decoded_fields_raise_value_error(self, patch, reference_key):

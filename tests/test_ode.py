@@ -1,4 +1,5 @@
-"""Generic fixed-step RK4: examples, error handling, and contract properties."""
+"""The package's one RK4 step (kernels._endpoint), through the machine entry
+points: examples, error handling, and contract properties."""
 
 from __future__ import annotations
 
@@ -9,221 +10,133 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from rosslercrypt import DivergenceError, ode
+from rosslercrypt import (
+    CANONICAL_PARAMS,
+    DivergenceError,
+    MachineConfig,
+    StateVector,
+    SystemParams,
+    run_machine,
+    run_machine_batch,
+    run_machine_trajectory,
+    rossler_field,
+)
 
-ZERO3 = ode.VectorField(dim=3, f=lambda s: np.zeros(3))
-CONST1 = ode.VectorField(dim=1, f=lambda s: np.ones(1))
-LINEAR1 = ode.VectorField(dim=1, f=lambda s: s.copy())
-SQUARE1 = ode.VectorField(dim=1, f=lambda s: s * s)
+SIM_INIT = StateVector(0.0001, 0.0001, 0.0001)
 
 
 def bits(arr) -> bytes:
     return np.asarray(arr, dtype=np.float64).tobytes()
 
 
+def entry_points(params, init, n_steps, h):
+    """Call every public way of running the machine with the same arguments."""
+    run_machine(params, init, n_steps, h)
+    run_machine_trajectory(params, init, n_steps, h)
+    run_machine_batch(params, [init.x], init.y, init.z, n_steps, h)
+    MachineConfig(params, h, n_steps)
+
+
 class TestRk4Step:
     def test_zero_field_returns_state_unchanged(self):
-        state = np.array([3.5, -1.0, 2.0])
-        out = ode.rk4_step(ZERO3, state, 0.1)
-        assert bits(out) == bits(state)
-
-    def test_constant_field_advances_by_exactly_h(self):
-        # All four stages equal 1, and (0.1/6)*6 rounds to exactly 0.1.
-        out = ode.rk4_step(CONST1, np.array([0.0]), 0.1)
-        assert out[0] == 0.1
-
-    def test_linear_field_single_step(self):
-        # Hand-evaluated stages for x' = x, x0 = 1, h = 0.1: the binary64
-        # result is the value printed as 1.1051708333333333, one step of
-        # the Taylor polynomial 1 + h + h^2/2 + h^3/6 + h^4/24.
-        h = 0.1
-        a = 1.0
-        b = 1.0 + (h / 2.0) * a
-        c = 1.0 + (h / 2.0) * b
-        d = 1.0 + h * c
-        expected = 1.0 + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        out = ode.rk4_step(LINEAR1, np.array([1.0]), 0.1)
-        assert out[0] == expected
-        assert out[0] == float("1.1051708333333333")
+        # With b = 0, (c, -c/a, c/a) is an equilibrium; for a = 0.5, c = 1
+        # every stage is exactly zero, so the step adds +0.0 to each part.
+        params = SystemParams(0.5, 0.0, 1.0)
+        state = StateVector(1.0, -2.0, 2.0)
+        out = run_machine(params, state, 1, 0.1)
+        assert bits(out.as_array()) == bits(state.as_array())
 
     @pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
     def test_invalid_step_size_rejected(self, h):
         with pytest.raises(ValueError):
-            ode.rk4_step(LINEAR1, np.array([1.0]), h)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ode.rk4_step(ZERO3, np.array([1.0, 2.0]), 0.1)
+            entry_points(CANONICAL_PARAMS, SIM_INIT, 10, h)
 
     def test_nonfinite_stage_raises_divergence(self):
-        bad = ode.VectorField(dim=1, f=lambda s: np.array([math.inf]))
-        with pytest.raises(DivergenceError):
-            ode.rk4_step(bad, np.array([0.0]), 0.1)
-
-    def test_field_dimension_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ode.VectorField(dim=0, f=lambda s: s)
+        # z * (x - c) overflows in the first stage.
+        init = StateVector(1e308, 0.0, 1e308)
+        assert oracles.rossler_first_bad_step(0.2, 0.2, 5.7, 1e308, 0.0, 1e308, 0.1, 5) == 1
+        with pytest.raises(DivergenceError) as exc_info:
+            run_machine(CANONICAL_PARAMS, init, 5, 0.1)
+        assert exc_info.value.step == 1
 
 
 class TestRk4Stages:
-    def test_linear_field_stage_values(self):
-        stages = ode.rk4_stages(LINEAR1, np.array([1.0]), 0.1)
-        assert stages.a[0] == 1.0
-        assert stages.b[0] == 1.0 + 0.05 * 1.0
-        assert stages.c[0] == 1.0 + 0.05 * (1.0 + 0.05 * 1.0)
-        assert stages.d[0] == 1.0 + 0.1 * stages.c[0]
-
-    def test_zero_field_stages_all_zero(self):
-        stages = ode.rk4_stages(ZERO3, np.array([3.5, -1.0, 2.0]), 0.1)
-        for stage in (stages.a, stages.b, stages.c, stages.d):
-            assert stage.tolist() == [0.0, 0.0, 0.0]
-
     def test_step_combines_the_stages(self):
-        state = np.array([0.0001, 0.0001, 0.0001])
-        field = ode.VectorField(
-            dim=3,
-            f=lambda s: np.array(
-                [-s[1] - s[2], s[0] + 0.2 * s[1], 0.2 + s[2] * (s[0] - 5.7)]
-            ),
-        )
-        s = ode.rk4_stages(field, state, 0.1)
-        expected = state + (0.1 / 6.0) * (s.a + 2.0 * s.b + 2.0 * s.c + s.d)
-        assert bits(ode.rk4_step(field, state, 0.1)) == bits(expected)
+        # The four stages come from the scalar field definition, not the
+        # kernel; the kernel's single step must combine them with weights
+        # 1, 2, 2, 1 in the contracted order.
+        h = 0.1
+        half_h = h / 2.0
+        sixth_h = h / 6.0
+        s = SIM_INIT
+
+        def shifted(k, scale):
+            return StateVector(s.x + scale * k.x, s.y + scale * k.y, s.z + scale * k.z)
+
+        a = rossler_field(CANONICAL_PARAMS, s)
+        b = rossler_field(CANONICAL_PARAMS, shifted(a, half_h))
+        c = rossler_field(CANONICAL_PARAMS, shifted(b, half_h))
+        d = rossler_field(CANONICAL_PARAMS, shifted(c, h))
+        expected = [
+            v + sixth_h * (ka + 2.0 * kb + 2.0 * kc + kd)
+            for v, ka, kb, kc, kd in zip(
+                s.as_array(), a.as_array(), b.as_array(), c.as_array(), d.as_array()
+            )
+        ]
+        out = run_machine(CANONICAL_PARAMS, s, 1, h)
+        assert bits(out.as_array()) == bits(expected)
 
 
 class TestIntegrate:
-    def test_zero_steps_returns_initial_state_bits(self):
-        state = np.array([0.1, -0.0, 5e-324])
-        out = ode.integrate(ZERO3, state, 0.1, 0)
-        assert bits(out) == bits(state)
-
-    def test_constant_field_ten_steps_matches_repeated_addition(self):
-        # Each step adds exactly 0.1; ten binary64 additions of 0.1 land
-        # one ulp under 1.
-        expected = 0.0
-        for _ in range(10):
-            expected += 0.1
-        out = ode.integrate(CONST1, np.array([0.0]), 0.1, 10)
-        assert out[0] == expected
-        assert out[0] == 0.9999999999999999
-
-    def test_linear_field_approximates_e(self):
-        out = ode.integrate(LINEAR1, np.array([1.0]), 0.1, 10)
-        assert abs(out[0] - math.e) < 2.3e-6
-
     def test_negative_step_count_rejected(self):
         with pytest.raises(ValueError):
-            ode.integrate(LINEAR1, np.array([1.0]), 0.1, -1)
-
-    def test_divergence_reports_first_failing_step(self):
-        # x' = x^2 from x0 = 10 with h = 1 overflows quickly; the oracle
-        # finds the exact step by stepping the same arithmetic on lists.
-        def f(x):
-            return [x[0] * x[0]]
-
-        state = [10.0]
-        expected_step = None
-        for k in range(1, 20):
-            state = oracles.rk4_step_lists(f, state, 1.0)
-            if not math.isfinite(state[0]):
-                expected_step = k
-                break
-        assert expected_step is not None
-        with pytest.raises(DivergenceError) as exc_info:
-            ode.integrate(SQUARE1, np.array([10.0]), 1.0, 20)
-        assert exc_info.value.step == expected_step
+            entry_points(CANONICAL_PARAMS, SIM_INIT, -1, 0.1)
 
     def test_matches_list_oracle_bit_for_bit(self):
-        f = oracles.rossler_rhs(0.2, 0.2, 5.7)
-        expected = oracles.rossler_endpoint(0.2, 0.2, 5.7, 0.0001, 0.0001, 0.0001, 0.1, 50)
-        field = ode.VectorField(dim=3, f=lambda s: np.array(f(list(s))))
-        out = ode.integrate(field, np.array([0.0001, 0.0001, 0.0001]), 0.1, 50)
-        assert tuple(out) == expected
+        # Every sampled state, not only the endpoint, equals the list oracle.
+        samples = oracles.rk4_run_lists(
+            oracles.rossler_rhs(0.2, 0.2, 5.7), [0.0001, 0.0001, 0.0001], 0.1, 50
+        )
+        traj = run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, 50, 0.1)
+        assert bits(traj.states) == bits(samples)
 
 
 class TestIntegrateTrajectory:
-    def test_zero_steps_single_state(self):
-        traj = ode.integrate_trajectory(ZERO3, np.array([1.0, 2.0, 3.0]), 0.1, 0)
-        assert traj.states.shape == (1, 3)
-        assert traj.n_steps == 0
-        assert bits(traj.states[0]) == bits(np.array([1.0, 2.0, 3.0]))
-
     def test_prefix_property(self):
-        long = ode.integrate_trajectory(LINEAR1, np.array([1.0]), 0.1, 12)
-        short = ode.integrate_trajectory(LINEAR1, np.array([1.0]), 0.1, 5)
+        long = run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, 12, 0.1)
+        short = run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, 5, 0.1)
         assert bits(long.states[:6]) == bits(short.states)
 
     def test_each_sample_matches_integrate(self):
-        traj = ode.integrate_trajectory(LINEAR1, np.array([1.0]), 0.1, 10)
-        for k in range(11):
-            direct = ode.integrate(LINEAR1, np.array([1.0]), 0.1, k)
-            assert bits(traj.states[k]) == bits(direct)
+        traj = run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, 10, 0.1)
+        for k in range(1, 11):
+            direct = run_machine(CANONICAL_PARAMS, SIM_INIT, k, 0.1)
+            assert bits(traj.states[k]) == bits(direct.as_array())
 
     def test_divergence_carries_partial_states(self):
         with pytest.raises(DivergenceError) as exc_info:
-            ode.integrate_trajectory(SQUARE1, np.array([10.0]), 1.0, 20)
+            run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, 100, 10.0)
         err = exc_info.value
-        assert err.step is not None
-        partial = err.partial_states
-        assert partial.shape == (err.step, 1)
-        good = ode.integrate_trajectory(SQUARE1, np.array([10.0]), 1.0, err.step - 1)
-        assert bits(partial) == bits(good.states)
-
-    def test_times_reported_from_t0_and_h(self):
-        traj = ode.integrate_trajectory(ZERO3, np.zeros(3), 0.25, 4, t0=1.0)
-        assert list(traj.times) == [1.0 + k * 0.25 for k in range(5)]
+        assert err.step is not None and err.step > 1
+        good = run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, err.step - 1, 10.0)
+        assert bits(err.partial_states) == bits(good.states)
 
 
 class TestProperties:
-    def test_order_four_convergence(self):
-        # Global error at t = 1 for x' = x should shrink ~16x per halving.
-        errors = []
-        for h, n in [(0.1, 10), (0.05, 20), (0.025, 40)]:
-            out = ode.integrate(LINEAR1, np.array([1.0]), h, n)
-            errors.append(abs(out[0] - math.e))
-        for coarse, fine in zip(errors, errors[1:]):
-            assert 14 <= coarse / fine <= 18
-
-    def test_repeated_calls_bit_identical(self):
-        field = ode.VectorField(
-            dim=3, f=lambda s: np.array([-s[1] - s[2], s[0] + 0.2 * s[1], 0.2 + s[2] * (s[0] - 5.7)])
-        )
-        first = ode.integrate(field, np.array([0.0001, 0.0001, 0.0001]), 0.1, 100)
-        second = ode.integrate(field, np.array([0.0001, 0.0001, 0.0001]), 0.1, 100)
-        assert bits(first) == bits(second)
-
-    @given(split=st.integers(min_value=0, max_value=30), total=st.integers(min_value=0, max_value=30))
-    def test_integration_composes_bit_exactly(self, split, total):
-        if split > total:
-            split, total = total, split
-        start = np.array([0.0001, 0.0001, 0.0001])
-        field = ode.VectorField(
-            dim=3, f=lambda s: np.array([-s[1] - s[2], s[0] + 0.2 * s[1], 0.2 + s[2] * (s[0] - 5.7)])
-        )
-        whole = ode.integrate(field, start, 0.1, total)
-        middle = ode.integrate(field, start, 0.1, split)
-        rest = ode.integrate(field, middle, 0.1, total - split)
-        assert bits(whole) == bits(rest)
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60))
+    def test_integration_composes_bit_exactly(self, split, rest):
+        # N steps from the start equal split steps, then N - split more.
+        whole = run_machine(CANONICAL_PARAMS, SIM_INIT, split + rest, 0.1)
+        middle = run_machine(CANONICAL_PARAMS, SIM_INIT, split, 0.1)
+        tail = run_machine(CANONICAL_PARAMS, middle, rest, 0.1)
+        assert bits(whole.as_array()) == bits(tail.as_array())
 
     @given(
-        st.lists(
-            st.floats(min_value=-50, max_value=50, allow_nan=False).filter(
-                lambda v: not (v == 0 and math.copysign(1, v) < 0)
-            ),
-            min_size=3,
-            max_size=3,
-        ),
-        st.integers(min_value=0, max_value=20),
+        st.floats(min_value=-10, max_value=10),
+        st.floats(min_value=-10, max_value=10),
+        st.integers(min_value=1, max_value=20),
     )
-    def test_zero_field_is_fixed_point(self, components, n_steps):
-        state = np.array(components)
-        out = ode.integrate(ZERO3, state, 0.1, n_steps)
-        assert bits(out) == bits(state)
-
-    def test_zero_field_flushes_negative_zero_sign(self):
-        # The contracted update x + (h/6)*0 performs a real addition, and
-        # IEEE-754 maps -0.0 + 0.0 to +0.0; preservation is value-level for
-        # signed zeros, bit-level for everything else.
-        out = ode.integrate(ZERO3, np.array([-0.0, 1.0, -0.0]), 0.1, 1)
-        assert out.tolist() == [0.0, 1.0, 0.0]
-        assert bits(out) == bits(np.array([0.0, 1.0, 0.0]))
+    def test_zero_field_is_fixed_point(self, a, c, n_steps):
+        # With b = 0 the origin is an equilibrium for every a and c.
+        out = run_machine(SystemParams(a, 0.0, c), StateVector(0.0, 0.0, 0.0), n_steps, 0.1)
+        assert bits(out.as_array()) == bits(np.zeros(3))

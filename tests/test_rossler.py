@@ -20,12 +20,10 @@ from rosslercrypt import (
     StateVector,
     SystemParams,
     kernels,
-    ode,
     run_machine,
     run_machine_batch,
     run_machine_trajectory,
     rossler_field,
-    vector_field,
 )
 
 SIM_INIT = StateVector(0.0001, 0.0001, 0.0001)
@@ -53,13 +51,6 @@ class TestField:
         oracle = oracles.rossler_rhs(0.2, 0.2, 5.7)([state.x, state.y, state.z])
         assert (out.x, out.y, out.z) == expected
         assert (out.x, out.y, out.z) == tuple(oracle)
-
-    def test_vector_field_adapter_matches_scalar_field(self):
-        vf = vector_field(CANONICAL_PARAMS)
-        s = StateVector(0.3, -1.25, 0.07)
-        out = vf(s.as_array())
-        direct = rossler_field(CANONICAL_PARAMS, s)
-        assert tuple(out) == (direct.x, direct.y, direct.z)
 
 
 class TestRunMachine:
@@ -110,8 +101,10 @@ class TestRunMachine:
             )
             n = rng.randint(1, 400)
             fast = run_machine(params, init, n, 0.1)
-            generic = ode.integrate(vector_field(params), init.as_array(), 0.1, n)
-            assert (fast.x, fast.y, fast.z) == tuple(generic)
+            expected = oracles.rossler_endpoint(
+                params.a, params.b, params.c, init.x, init.y, init.z, 0.1, n
+            )
+            assert (fast.x, fast.y, fast.z) == expected
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -157,13 +150,16 @@ class TestTrajectory:
         assert tuple(traj.states[-1]) == (end.x, end.y, end.z)
 
     def test_short_horizon_accuracy_against_fine_reference(self):
-        # First 200 coarse states vs a generic-integrator run at h/8,
-        # sampled every 8th state.
+        # First 200 coarse states vs a list-oracle run at h/8, sampled
+        # every 8th state.
         traj = run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, 200, 0.1)
-        reference = ode.integrate_trajectory(
-            vector_field(CANONICAL_PARAMS), SIM_INIT.as_array(), 0.0125, 1600
+        reference = oracles.rk4_run_lists(
+            oracles.rossler_rhs(0.2, 0.2, 5.7),
+            [SIM_INIT.x, SIM_INIT.y, SIM_INIT.z],
+            0.0125,
+            1600,
         )
-        gap = np.abs(traj.states - reference.states[::8]).max()
+        gap = np.abs(traj.states - np.array(reference[::8])).max()
         assert gap < 1e-4
 
     def test_default_sim_run_stays_bounded(self):
@@ -359,6 +355,10 @@ class TestCompiledBackend:
         source = Path(kernels.__file__).read_text()
         update = "x = x + sixth_h * (ax + 2.0 * bx + 2.0 * cx + dx)"
         assert source.count(update) == 1
+        # No other module of the package writes an RK4 step of its own.
+        package = Path(kernels.__file__).parent
+        with_step = [p.name for p in package.glob("*.py") if "/ 6.0" in p.read_text()]
+        assert with_step == ["kernels.py"]
 
 
 @pytest.mark.skipif(
