@@ -10,7 +10,7 @@ provide.
 
 from __future__ import annotations
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .cipher import (
     Ciphertext,
@@ -47,11 +47,9 @@ from .keys import (
 )
 from .rossler import (
     CANONICAL_PARAMS,
-    MachineConfig,
     StateVector,
     SystemParams,
     Trajectory,
-    rossler_field,
     run_machine,
     run_machine_batch,
     run_machine_trajectory,
@@ -68,7 +66,6 @@ __all__ = [
     "FormatError",
     "KeyValidationReport",
     "KeygenExhausted",
-    "MachineConfig",
     "NoMatchError",
     "RosslerKey",
     "StateVector",
@@ -84,7 +81,6 @@ __all__ = [
     "generate_key",
     "keyspace_bits",
     "map_byte",
-    "rossler_field",
     "run_machine",
     "run_machine_batch",
     "run_machine_trajectory",

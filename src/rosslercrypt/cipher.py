@@ -100,6 +100,14 @@ class Codebook:
         return out.tobytes()
 
 
+def _refuse_nonfinite(values: np.ndarray) -> None:
+    """FormatError naming the first non-finite ciphertext value, if any."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        pos = int(np.argmin(finite))
+        raise FormatError(f"non-finite ciphertext value at position {pos}")
+
+
 @dataclass(frozen=True)
 class Ciphertext:
     """Ordered endpoint values, one per plaintext byte."""
@@ -153,9 +161,7 @@ def decrypt(
     if tolerance is not None and not tolerance > 0:
         raise ValueError("tolerance must be positive")
     values = ct.values
-    if values.size and not np.isfinite(values).all():
-        pos = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise FormatError(f"non-finite ciphertext value at position {pos}")
+    _refuse_nonfinite(values)
     codebook = build_codebook(key)
     if tolerance is None:
         first = codebook.first_byte_of(values)
@@ -186,7 +192,5 @@ def deserialize_ciphertext(data: bytes) -> Ciphertext:
             f"ciphertext length {len(data)} does not match count {count}"
         )
     values = np.frombuffer(data, dtype=">f8", offset=13).astype(np.float64)
-    if values.size and not np.isfinite(values).all():
-        pos = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise FormatError(f"non-finite ciphertext value at position {pos}")
+    _refuse_nonfinite(values)
     return Ciphertext(values=values)

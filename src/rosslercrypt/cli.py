@@ -3,8 +3,9 @@
 Subcommands: simulate, keygen, encrypt, decrypt, digest, verify, keyspace.
 Machine-readable output goes to stdout, diagnostics to stderr. Exit codes:
 0 success, 1 verification or match failure (including divergence and
-exhausted key generation), 2 usage or format errors (including a request
-too large to allocate).
+exhausted key generation), 2 usage or format errors (including a simulate
+argument the machine refuses, at any --steps, and a request too large to
+allocate).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _trajectory_csv(traj: rossler.Trajectory) -> str:
     lines = ["t,x,y,z"]
     h = traj.h
     for n, row in enumerate(traj.states):
-        t = traj.t0 + n * h
+        t = n * h
         lines.append(f"{t!r},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}")
     return "\n".join(lines) + "\n"
 
@@ -92,17 +93,9 @@ def _cmd_simulate(args) -> int:
     if args.steps < 0:
         print("error: --steps must be >= 0", file=sys.stderr)
         return 2
-    if not args.h > 0:
-        print("error: --h must be > 0", file=sys.stderr)
-        return 2
     params = rossler.SystemParams(args.a, args.b, args.c)
     init = rossler.StateVector(args.x0, args.y0, args.z0)
-    if args.steps == 0:
-        traj = rossler.Trajectory(
-            t0=0.0, h=args.h, states=init.as_array().reshape(1, 3)
-        )
-    else:
-        traj = rossler.run_machine_trajectory(params, init, args.steps, args.h)
+    traj = rossler.run_machine_trajectory(params, init, args.steps, args.h)
     text = _trajectory_csv(traj)
     if args.out:
         with open(args.out, "w") as f:
@@ -194,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, MemoryError) as exc:
-        # FormatError is a ValueError; so is a bad ROSSLERCRYPT_BACKEND.
+        # FormatError is a ValueError; so is an argument the machine refuses.
         # MemoryError: numpy refused an array, e.g. for a huge --steps.
         print(f"error: {exc}", file=sys.stderr)
         return 2

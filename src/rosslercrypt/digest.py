@@ -68,8 +68,8 @@ def fold_to_unit(s: float) -> float:
 
     The raw sum grows quadratically with message length and would diverge
     the machine. Plain frac(s) would collapse the input space to multiples
-    of 1/1024; multiplying by g first spreads distinct sums across [0, 1)
-    at full binary64 resolution.
+    of 1/1024; multiplying by g first spreads distinct sums across [0, 1),
+    but only on multiples of ulp(s * g): 2^-17 for a 1 MiB message.
     """
     if not (math.isfinite(s) and s >= 0):
         raise ValueError(f"weighted sum must be finite and non-negative, got {s!r}")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class DivergenceError(ArithmeticError):
     """Integration produced a non-finite component.
@@ -13,8 +11,6 @@ class DivergenceError(ArithmeticError):
             non-finite, or None when no step context exists.
         entry: index of the failing entry when the failure happened inside
             a batch run (the plaintext byte, for codebook builds).
-        partial_states: states computed before the failure, when the caller
-            was collecting a trajectory.
     """
 
     def __init__(
@@ -23,12 +19,10 @@ class DivergenceError(ArithmeticError):
         *,
         step: int | None = None,
         entry: int | None = None,
-        partial_states: np.ndarray | None = None,
     ):
         super().__init__(message)
         self.step = step
         self.entry = entry
-        self.partial_states = partial_states
 
 
 class FormatError(ValueError):

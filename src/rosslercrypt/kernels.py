@@ -3,16 +3,15 @@
 The scalar step loops (single runs, sampled trajectories, and whole batches
 of runs sharing parameters) are defined once, below, as plain Python:
 
-* ``numba``: those loops compiled with ``numba.njit``. Default whenever
+* ``numba``: those loops compiled with ``numba.njit``. Active whenever
   numba imports.
 * ``numpy``: the same loops run as plain Python, except that a batch runs
   _endpoint's own code once on arrays, stepping all entries together; the
   entries that diverged are then rerun alone by the scalar loop.
 
-Set ``ROSSLERCRYPT_BACKEND=numba`` or ``ROSSLERCRYPT_BACKEND=numpy`` to force
-a backend (read on the first ``active_backend()`` call). Both backends must
-produce bit-identical binary64 results; the test suite enforces this, and
-the protocol relies on it (sender and receiver reproduce each other's bits).
+Both backends must produce bit-identical binary64 results; the test suite
+enforces this, and the protocol relies on it (sender and receiver reproduce
+each other's bits).
 
 The step body below is a wire contract, not a style choice: every operation
 is binary64, in exactly the written order, with h/2 and h/6 formed once per
@@ -22,14 +21,11 @@ run. Do not reassociate, fuse, or reorder.
 from __future__ import annotations
 
 import math
-import os
 import types
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-ENV_VAR = "ROSSLERCRYPT_BACKEND"
 
 
 def _endpoint(a, b, c, x, y, z, h, n):
@@ -200,24 +196,10 @@ def get_backend(name: str) -> Backend:
     raise ValueError(f"unknown backend {name!r} (expected 'numba' or 'numpy')")
 
 
-_active: Backend | None = None
+_ACTIVE = _NUMBA_BACKEND or _NUMPY_BACKEND
 
 
 def active_backend() -> Backend:
-    """The backend named by ROSSLERCRYPT_BACKEND, else numba if it imports,
-    else numpy.
-
-    Chosen on the first call; every later call returns the same instance.
-    ValueError if the variable names an unknown or unavailable backend.
-    """
-    global _active
-    if _active is None:
-        requested = os.environ.get(ENV_VAR, "").strip().lower()
-        if requested in ("", "auto"):
-            _active = _NUMBA_BACKEND if _NUMBA_BACKEND is not None else _NUMPY_BACKEND
-        else:
-            try:
-                _active = get_backend(requested)
-            except ValueError as exc:
-                raise ValueError(f"{ENV_VAR}: {exc}") from None
-    return _active
+    """numba if it imports, else numpy: chosen at import, the same instance
+    on every call."""
+    return _ACTIVE

@@ -47,9 +47,8 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States sampled every h time units; states[k] is the state at t0 + k*h."""
+    """States sampled every h time units; states[k] is the state at k*h."""
 
-    t0: float
     h: float
     states: np.ndarray
 
@@ -60,40 +59,6 @@ class Trajectory:
 
 #: Parameters in the classic chaotic regime; the simulation default.
 CANONICAL_PARAMS = SystemParams(0.2, 0.2, 5.7)
-
-
-@dataclass(frozen=True)
-class MachineConfig:
-    """A validated machine setup: parameters, step size, step count.
-
-    Configure once, run per initial state.
-    """
-
-    params: SystemParams
-    h: float
-    n_steps: int
-
-    def __post_init__(self):
-        _check_machine_args(self.params, self.n_steps, self.h)
-
-    def run(self, init: StateVector) -> StateVector:
-        return run_machine(self.params, init, self.n_steps, self.h)
-
-    def run_trajectory(self, init: StateVector) -> Trajectory:
-        return run_machine_trajectory(self.params, init, self.n_steps, self.h)
-
-
-def rossler_field(params: SystemParams, s: StateVector) -> StateVector:
-    """Evaluate the Rossler right-hand side at s.
-
-    Each component is computed in binary64 in exactly the written order, so
-    every implementation of the protocol sees identical bits.
-    """
-    return StateVector(
-        -s.y - s.z,
-        s.x + params.a * s.y,
-        params.b + s.z * (s.x - params.c),
-    )
 
 
 def _check_machine_args(params: SystemParams, n_steps: int, h: float) -> None:
@@ -123,19 +88,18 @@ def run_machine(
 def run_machine_trajectory(
     params: SystemParams, init: StateVector, n_steps: int, h: float
 ) -> Trajectory:
-    """Full sampled trajectory; the last state equals run_machine's output."""
-    _check_machine_args(params, n_steps, h)
+    """Full sampled trajectory; the last state equals run_machine's output.
+
+    n_steps may also be 0: the trajectory is then the start alone.
+    """
+    _check_machine_args(params, n_steps or 1, h)
     be = kernels.active_backend()
     states, fail = be.run_trajectory(
         params.a, params.b, params.c, init.x, init.y, init.z, h, n_steps
     )
     if fail != 0:
-        raise DivergenceError(
-            f"machine run diverged at step {fail}",
-            step=fail,
-            partial_states=states[:fail].copy(),
-        )
-    return Trajectory(t0=0.0, h=h, states=states)
+        raise DivergenceError(f"machine run diverged at step {fail}", step=fail)
+    return Trajectory(h=h, states=states)
 
 
 def run_machine_batch(

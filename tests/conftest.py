@@ -16,10 +16,7 @@ settings.load_profile("ci")
 
 def pytest_report_header(config):
     names = kernels.available_backends()
-    try:
-        active = kernels.active_backend().name
-    except ValueError as exc:
-        active = f"none ({exc})"
+    active = kernels.active_backend().name
     lines = [f"rosslercrypt backends: available {', '.join(names)}; active {active}"]
     if "numba" not in names:
         lines.append(

@@ -139,6 +139,17 @@ class TestDecrypt:
         with pytest.raises(FormatError):
             decrypt(ct, reference_key)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tolerance", [None, 1e-9])
+    def test_nonfinite_value_refused_in_both_modes(
+        self, entries, reference_key, tolerance, bad
+    ):
+        # The refusal must come before the lookup: Codebook.nearest_bytes
+        # alone maps a NaN to some byte instead of refusing it.
+        ct = Ciphertext(values=np.array([entries[7], bad]))
+        with pytest.raises(FormatError, match="position 1$"):
+            decrypt(ct, reference_key, tolerance=tolerance)
+
     def test_tolerant_mode_recovers_after_decimal_round_trip(self, reference_key):
         message = b"lossy channel"
         ct = encrypt(message, reference_key)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -99,10 +98,32 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, ["simulate", "--h", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--h", "inf"), ("--h", "nan"), ("--a", "nan"), ("--c", "inf")]
+    )
+    def test_zero_steps_keeps_the_machine_rule(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, ["simulate", "--steps", "0", flag, value])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_divergence_exits_1(self, capsys):
         code, _, err = run_cli(capsys, ["simulate", "--h", "50"])
         assert code == 1
         assert "diverged" in err
+
+    @pytest.mark.skipif(
+        len(kernels.available_backends()) < 2, reason="numba backend unavailable"
+    )
+    def test_backends_emit_identical_csv(self, capsys, monkeypatch):
+        outputs = []
+        for name in ("numba", "numpy"):
+            backend = kernels.get_backend(name)
+            monkeypatch.setattr(kernels, "active_backend", lambda: backend)
+            code, out, _ = run_cli(capsys, ["simulate", "--steps", "200"])
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 class TestKeygen:
@@ -355,29 +376,3 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2^112"
-
-    def test_unknown_backend_is_a_usage_error(self):
-        env = dict(os.environ, ROSSLERCRYPT_BACKEND="fortran")
-        proc = subprocess.run(
-            [sys.executable, "-m", "rosslercrypt", "simulate", "--steps", "10"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert "fortran" in proc.stderr
-
-    @pytest.mark.skipif(
-        len(kernels.available_backends()) < 2, reason="numba backend unavailable"
-    )
-    def test_backends_emit_identical_csv(self):
-        argv = [sys.executable, "-m", "rosslercrypt", "simulate", "--steps", "200"]
-        outputs = []
-        for backend in ("numba", "numpy"):
-            env = dict(os.environ, ROSSLERCRYPT_BACKEND=backend)
-            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
-            assert proc.returncode == 0
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]

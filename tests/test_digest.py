@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import struct
 
 import pytest
@@ -105,6 +106,28 @@ class TestFoldToUnit:
     def test_rejects_negative_or_nonfinite(self, bad):
         with pytest.raises(ValueError):
             fold_to_unit(bad)
+
+
+class TestFoldResolution:
+    """The fold keeps only the fraction bits that binary64 holds of s * g.
+
+    A message of L bytes sums to about L^2 / 16, so long messages reach few
+    starting states per key: about 2^17 at 1 MiB and 2^11 at 8 MiB.
+    """
+
+    @given(
+        st.integers(
+            min_value=math.ceil(2**45 / GAMMA), max_value=math.floor(2**55 / GAMMA)
+        )
+    )
+    def test_fold_is_a_multiple_of_the_product_ulp(self, k):
+        s = k / 1024  # a weighted sum, with s * g in [2^35, 2^45]
+        assert (fold_to_unit(s) / math.ulp(s * GAMMA)).is_integer()
+
+    def test_one_mebibyte_message_keeps_17_fraction_bits(self):
+        s = weighted_sum(random.Random(7).randbytes(1 << 20))
+        assert math.ulp(s * GAMMA) == 2.0**-17
+        assert (fold_to_unit(s) * 2**17).is_integer()
 
 
 class TestComputeDigest:

@@ -13,13 +13,11 @@ import oracles
 from rosslercrypt import (
     CANONICAL_PARAMS,
     DivergenceError,
-    MachineConfig,
     StateVector,
     SystemParams,
     run_machine,
     run_machine_batch,
     run_machine_trajectory,
-    rossler_field,
 )
 
 SIM_INIT = StateVector(0.0001, 0.0001, 0.0001)
@@ -34,7 +32,6 @@ def entry_points(params, init, n_steps, h):
     run_machine(params, init, n_steps, h)
     run_machine_trajectory(params, init, n_steps, h)
     run_machine_batch(params, [init.x], init.y, init.z, n_steps, h)
-    MachineConfig(params, h, n_steps)
 
 
 class TestRk4Step:
@@ -62,28 +59,27 @@ class TestRk4Step:
 
 class TestRk4Stages:
     def test_step_combines_the_stages(self):
-        # The four stages come from the scalar field definition, not the
+        # The four stages come from the list oracle's field, not the
         # kernel; the kernel's single step must combine them with weights
         # 1, 2, 2, 1 in the contracted order.
         h = 0.1
         half_h = h / 2.0
         sixth_h = h / 6.0
-        s = SIM_INIT
+        f = oracles.rossler_rhs(0.2, 0.2, 5.7)
+        s = [SIM_INIT.x, SIM_INIT.y, SIM_INIT.z]
 
         def shifted(k, scale):
-            return StateVector(s.x + scale * k.x, s.y + scale * k.y, s.z + scale * k.z)
+            return [v + scale * kv for v, kv in zip(s, k)]
 
-        a = rossler_field(CANONICAL_PARAMS, s)
-        b = rossler_field(CANONICAL_PARAMS, shifted(a, half_h))
-        c = rossler_field(CANONICAL_PARAMS, shifted(b, half_h))
-        d = rossler_field(CANONICAL_PARAMS, shifted(c, h))
+        a = f(s)
+        b = f(shifted(a, half_h))
+        c = f(shifted(b, half_h))
+        d = f(shifted(c, h))
         expected = [
             v + sixth_h * (ka + 2.0 * kb + 2.0 * kc + kd)
-            for v, ka, kb, kc, kd in zip(
-                s.as_array(), a.as_array(), b.as_array(), c.as_array(), d.as_array()
-            )
+            for v, ka, kb, kc, kd in zip(s, a, b, c, d)
         ]
-        out = run_machine(CANONICAL_PARAMS, s, 1, h)
+        out = run_machine(CANONICAL_PARAMS, SIM_INIT, 1, h)
         assert bits(out.as_array()) == bits(expected)
 
 
@@ -112,14 +108,6 @@ class TestIntegrateTrajectory:
         for k in range(1, 11):
             direct = run_machine(CANONICAL_PARAMS, SIM_INIT, k, 0.1)
             assert bits(traj.states[k]) == bits(direct.as_array())
-
-    def test_divergence_carries_partial_states(self):
-        with pytest.raises(DivergenceError) as exc_info:
-            run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, 100, 10.0)
-        err = exc_info.value
-        assert err.step is not None and err.step > 1
-        good = run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, err.step - 1, 10.0)
-        assert bits(err.partial_states) == bits(good.states)
 
 
 class TestProperties:
