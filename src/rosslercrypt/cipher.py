@@ -88,7 +88,7 @@ class Codebook:
             near = np.searchsorted(table[2:-2], block)[:, None] + np.arange(4)
             dist = np.abs(table[near] - block[:, None])
             two = np.partition(dist, 1, axis=1)
-            miss = two[:, 0] > tolerance
+            miss = ~(two[:, 0] <= tolerance)  # a NaN distance is a miss
             bad = np.flatnonzero(miss | (two[:, 1] <= tolerance))
             if bad.size:
                 i = int(bad[0])
@@ -134,8 +134,6 @@ def build_codebook(key: RosslerKey) -> Codebook:
 def encrypt(plaintext: bytes, key: RosslerKey) -> Ciphertext:
     """Substitute each plaintext byte with its codebook endpoint."""
     codebook = build_codebook(key)
-    if len(plaintext) == 0:
-        return Ciphertext(values=np.empty(0, dtype=np.float64))
     indices = np.frombuffer(plaintext, dtype=np.uint8)
     return Ciphertext(values=codebook.entries[indices])
 

@@ -4,8 +4,11 @@ Subcommands: simulate, keygen, encrypt, decrypt, digest, verify, keyspace.
 Machine-readable output goes to stdout, diagnostics to stderr. Exit codes:
 0 success, 1 verification or match failure (including divergence and
 exhausted key generation), 2 usage or format errors (including a simulate
-argument the machine refuses, at any --steps, and a request too large to
-allocate).
+argument the machine refuses, such as a non-finite start state, at any
+--steps, and a request too large to allocate).
+
+The handlers check nothing the library checks; they raise, and main alone
+prints the one error: line and picks the exit code.
 """
 
 from __future__ import annotations
@@ -90,9 +93,6 @@ def _trajectory_csv(traj: rossler.Trajectory) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    if args.steps < 0:
-        print("error: --steps must be >= 0", file=sys.stderr)
-        return 2
     params = rossler.SystemParams(args.a, args.b, args.c)
     init = rossler.StateVector(args.x0, args.y0, args.z0)
     traj = rossler.run_machine_trajectory(params, init, args.steps, args.h)
@@ -156,9 +156,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_keyspace(args) -> int:
-    if args.bits < 1:
-        print("error: --bits must be >= 1", file=sys.stderr)
-        return 2
     print(f"2^{keys.keyspace_bits(args.bits)}")
     return 0
 

@@ -7,19 +7,12 @@ class DivergenceError(ArithmeticError):
     """Integration produced a non-finite component.
 
     Attributes:
-        step: 1-based index of the first step whose stages or result went
-            non-finite, or None when no step context exists.
+        step: 1-based index of the first step whose result went non-finite.
         entry: index of the failing entry when the failure happened inside
             a batch run (the plaintext byte, for codebook builds).
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        step: int | None = None,
-        entry: int | None = None,
-    ):
+    def __init__(self, message: str, *, step: int, entry: int | None = None):
         super().__init__(message)
         self.step = step
         self.entry = entry
@@ -32,16 +25,16 @@ class FormatError(ValueError):
 class NoMatchError(ValueError):
     """A ciphertext value matches no codebook entry (wrong key or corruption)."""
 
-    def __init__(self, position: int, message: str | None = None):
-        super().__init__(message or f"no codebook entry matches value at position {position}")
+    def __init__(self, position: int):
+        super().__init__(f"no codebook entry matches value at position {position}")
         self.position = position
 
 
 class AmbiguousError(ValueError):
     """Tolerant decryption found two codebook entries within tolerance."""
 
-    def __init__(self, position: int, message: str | None = None):
-        super().__init__(message or f"ambiguous codebook match at position {position}")
+    def __init__(self, position: int):
+        super().__init__(f"ambiguous codebook match at position {position}")
         self.position = position
 
 

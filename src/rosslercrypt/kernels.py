@@ -167,36 +167,29 @@ def _compiled_backend(name: str, compile_fn: Callable) -> Backend:
     )
 
 
-_NUMPY_BACKEND = Backend("numpy", _endpoint, _trajectory, _batch_numpy)
-
+# The backends that import, fastest first.
+_BACKENDS: dict[str, Backend] = {}
 try:
     from numba import njit
 except ImportError:  # pragma: no cover - numba is a declared dependency
-    _NUMBA_BACKEND: Backend | None = None
+    pass
 else:
-    _NUMBA_BACKEND = _compiled_backend("numba", njit(cache=True))
+    _BACKENDS["numba"] = _compiled_backend("numba", njit(cache=True))
+_BACKENDS["numpy"] = Backend("numpy", _endpoint, _trajectory, _batch_numpy)
 
 
 def available_backends() -> tuple[str, ...]:
-    names = ["numpy"]
-    if _NUMBA_BACKEND is not None:
-        names.insert(0, "numba")
-    return tuple(names)
+    return tuple(_BACKENDS)
 
 
 def get_backend(name: str) -> Backend:
     """The backend called name; ValueError if it is unknown or unavailable."""
-    name = name.strip().lower()
-    if name == "numpy":
-        return _NUMPY_BACKEND
-    if name == "numba":
-        if _NUMBA_BACKEND is None:
-            raise ValueError("numba backend requested but numba is not importable")
-        return _NUMBA_BACKEND
-    raise ValueError(f"unknown backend {name!r} (expected 'numba' or 'numpy')")
+    if name not in _BACKENDS:
+        raise ValueError(f"unknown or unavailable backend {name!r}")
+    return _BACKENDS[name]
 
 
-_ACTIVE = _NUMBA_BACKEND or _NUMPY_BACKEND
+_ACTIVE = next(iter(_BACKENDS.values()))
 
 
 def active_backend() -> Backend:

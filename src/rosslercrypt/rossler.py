@@ -61,21 +61,27 @@ class Trajectory:
 CANONICAL_PARAMS = SystemParams(0.2, 0.2, 5.7)
 
 
-def _check_machine_args(params: SystemParams, n_steps: int, h: float) -> None:
-    for v in (params.a, params.b, params.c):
-        if not math.isfinite(v):
-            raise ValueError("system parameters must be finite")
+def _check_machine_args(
+    params: SystemParams, start, n_steps: int, h: float, least_n: int = 1
+) -> None:
+    """The machine's rule for its inputs: ValueError unless the parameters,
+    every start coordinate in start and h are finite, h > 0 and
+    n_steps >= least_n."""
+    if not all(map(math.isfinite, (params.a, params.b, params.c))):
+        raise ValueError("system parameters must be finite")
+    if not all(map(math.isfinite, start)):
+        raise ValueError("initial state must be finite")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be finite and positive, got {h!r}")
-    if n_steps < 1:
-        raise ValueError(f"step count must be >= 1, got {n_steps}")
+    if n_steps < least_n:
+        raise ValueError(f"step count must be >= {least_n}, got {n_steps}")
 
 
 def run_machine(
     params: SystemParams, init: StateVector, n_steps: int, h: float
 ) -> StateVector:
     """State after n_steps RK4 steps of size h from init (kernels._endpoint)."""
-    _check_machine_args(params, n_steps, h)
+    _check_machine_args(params, (init.x, init.y, init.z), n_steps, h)
     be = kernels.active_backend()
     x, y, z, fail = be.run_endpoint(
         params.a, params.b, params.c, init.x, init.y, init.z, h, n_steps
@@ -92,7 +98,7 @@ def run_machine_trajectory(
 
     n_steps may also be 0: the trajectory is then the start alone.
     """
-    _check_machine_args(params, n_steps or 1, h)
+    _check_machine_args(params, (init.x, init.y, init.z), n_steps, h, least_n=0)
     be = kernels.active_backend()
     states, fail = be.run_trajectory(
         params.a, params.b, params.c, init.x, init.y, init.z, h, n_steps
@@ -114,7 +120,8 @@ def run_machine_batch(
 
     Raises DivergenceError for the lowest-indexed diverging entry.
     """
-    _check_machine_args(params, n_steps, h)
+    start = (*np.ravel(x0_values).tolist(), y0, z0)
+    _check_machine_args(params, start, n_steps, h)
     finals, fail_steps = kernels.active_backend().run_batch(
         params.a, params.b, params.c, x0_values, y0, z0, h, n_steps
     )

@@ -376,6 +376,13 @@ class TestTolerantInverse:
         values[55] = -123.456
         assert_tolerant_matches_oracle(values, entries, reference_key, 0.75 * gap)
 
+    def test_nearest_bytes_takes_nan_for_a_miss(self, entries):
+        # Called directly, without decrypt's guard against non-finite values:
+        # every distance to NaN is NaN, and a NaN distance is no match.
+        with pytest.raises(NoMatchError) as exc_info:
+            Codebook(entries).nearest_bytes(np.array([entries[7], np.nan]), 1e-9)
+        assert exc_info.value.position == 1
+
 
 class TestWireFormat:
     def test_golden_bytes_for_fixed_message(self, reference_key):

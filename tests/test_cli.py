@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from rosslercrypt import (
     StateVector,
     __version__,
     cipher,
+    cli,
     deserialize_key,
     digest as digest_mod,
     kernels,
@@ -83,9 +85,10 @@ class TestSimulate:
         assert len(path.read_text().strip().split("\n")) == 7
 
     def test_negative_steps_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, ["simulate", "--steps", "-1"])
+        code, out, err = run_cli(capsys, ["simulate", "--steps", "-1"])
         assert code == 2
-        assert err
+        assert out == ""
+        assert err == "error: step count must be >= 0, got -1\n"
 
     def test_huge_steps_usage_error(self, capsys):
         # numpy refuses the 21.3 PiB trajectory before allocating any of it.
@@ -99,13 +102,25 @@ class TestSimulate:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flag, value", [("--h", "inf"), ("--h", "nan"), ("--a", "nan"), ("--c", "inf")]
+        "flag, value",
+        [
+            ("--h", "inf"),
+            ("--h", "nan"),
+            ("--a", "nan"),
+            ("--c", "inf"),
+            ("--x0", "nan"),
+            ("--y0", "inf"),
+            ("--z0", "-inf"),
+        ],
     )
     def test_zero_steps_keeps_the_machine_rule(self, capsys, flag, value):
-        code, out, err = run_cli(capsys, ["simulate", "--steps", "0", flag, value])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # A refused argument is a usage error whether or not a step is run.
+        for steps in ("0", "1"):
+            argv = ["simulate", "--steps", steps, f"{flag}={value}"]
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_divergence_exits_1(self, capsys):
         code, _, err = run_cli(capsys, ["simulate", "--h", "50"])
@@ -344,8 +359,10 @@ class TestKeyspace:
         assert out.strip() == expected
 
     def test_zero_bits_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, ["keyspace", "--bits", "0"])
+        code, out, err = run_cli(capsys, ["keyspace", "--bits", "0"])
         assert code == 2
+        assert out == ""
+        assert err == "error: bits per component must be >= 1\n"
 
 
 class TestUsage:
@@ -365,6 +382,12 @@ class TestUsage:
             version = tomllib.load(f)["project"]["version"]
         assert __version__ == version
         assert run_cli(capsys, ["--version"])[:2] == (0, version + "\n")
+
+    def test_only_main_prints_errors(self):
+        # Handlers raise; main alone turns an error into one line and an
+        # exit code, so a second copy of a library check could drift.
+        source = Path(cli.__file__).read_text()
+        assert source.count('"error: ') == inspect.getsource(main).count('"error: ')
 
 
 class TestSubprocess:

@@ -28,10 +28,18 @@ def bits(arr) -> bytes:
 
 
 def entry_points(params, init, n_steps, h):
-    """Call every public way of running the machine with the same arguments."""
-    run_machine(params, init, n_steps, h)
-    run_machine_trajectory(params, init, n_steps, h)
-    run_machine_batch(params, [init.x], init.y, init.z, n_steps, h)
+    """Every public way of running the machine, each bound to the same arguments."""
+    return [
+        lambda: run_machine(params, init, n_steps, h),
+        lambda: run_machine_trajectory(params, init, n_steps, h),
+        lambda: run_machine_batch(params, [init.x], init.y, init.z, n_steps, h),
+    ]
+
+
+def assert_each_refuses(runs):
+    for run in runs:
+        with pytest.raises(ValueError):
+            run()
 
 
 class TestRk4Step:
@@ -45,8 +53,27 @@ class TestRk4Step:
 
     @pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
     def test_invalid_step_size_rejected(self, h):
-        with pytest.raises(ValueError):
-            entry_points(CANONICAL_PARAMS, SIM_INIT, 10, h)
+        assert_each_refuses(entry_points(CANONICAL_PARAMS, SIM_INIT, 10, h))
+
+    @pytest.mark.parametrize(
+        "init",
+        [
+            StateVector(math.nan, 0.0001, 0.0001),
+            StateVector(0.0001, math.inf, 0.0001),
+            StateVector(0.0001, 0.0001, -math.inf),
+        ],
+        ids=["x0-nan", "y0-inf", "z0--inf"],
+    )
+    def test_nonfinite_start_rejected(self, init):
+        # Refused as an argument, not reported as a divergence at step 1:
+        # by the trajectory also at 0 steps, by a batch for any one entry.
+        runs = entry_points(CANONICAL_PARAMS, init, 10, 0.1)
+        runs.append(lambda: run_machine_trajectory(CANONICAL_PARAMS, init, 0, 0.1))
+        x0s = np.array([0.25, init.x, 0.5])
+        runs.append(
+            lambda: run_machine_batch(CANONICAL_PARAMS, x0s, init.y, init.z, 10, 0.1)
+        )
+        assert_each_refuses(runs)
 
     def test_nonfinite_stage_raises_divergence(self):
         # z * (x - c) overflows in the first stage.
@@ -85,8 +112,7 @@ class TestRk4Stages:
 
 class TestIntegrate:
     def test_negative_step_count_rejected(self):
-        with pytest.raises(ValueError):
-            entry_points(CANONICAL_PARAMS, SIM_INIT, -1, 0.1)
+        assert_each_refuses(entry_points(CANONICAL_PARAMS, SIM_INIT, -1, 0.1))
 
     def test_matches_list_oracle_bit_for_bit(self):
         # Every sampled state, not only the endpoint, equals the list oracle.
