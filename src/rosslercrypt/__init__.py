@@ -10,7 +10,7 @@ provide.
 
 from __future__ import annotations
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .cipher import (
     Ciphertext,
@@ -49,7 +49,6 @@ from .rossler import (
     CANONICAL_PARAMS,
     StateVector,
     SystemParams,
-    Trajectory,
     run_machine,
     run_machine_batch,
     run_machine_trajectory,
@@ -70,7 +69,6 @@ __all__ = [
     "RosslerKey",
     "StateVector",
     "SystemParams",
-    "Trajectory",
     "build_codebook",
     "compute_digest",
     "decrypt",

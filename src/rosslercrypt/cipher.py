@@ -40,13 +40,13 @@ def map_byte(b: int) -> float:
 
 _BYTE_X0S = np.array([map_byte(b) for b in range(256)])
 
-# Values per block of tolerant decrypt; bounds its temporaries (~200 B/value).
+# Values per block of tolerant decrypt; bounds its temporaries (~100 B/value).
 _TOLERANT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """Trajectory endpoint (x component) per plaintext byte."""
+    """Machine endpoint (x component) per plaintext byte."""
 
     entries: np.ndarray
 
@@ -70,33 +70,30 @@ class Codebook:
         return first
 
     def nearest_bytes(self, values: np.ndarray, tolerance: float) -> bytes:
-        """For each value, the byte whose entry is nearest, as tolerant
-        decrypt defines it.
+        """For each value, the byte of the one entry within tolerance, as
+        tolerant decrypt defines it.
 
-        The nearest entry must be within tolerance (else NoMatchError) and
-        the second-nearest more than tolerance away (else AmbiguousError),
-        both at the first failing position, NoMatchError first.
+        No entry within is NoMatchError, two or more is AmbiguousError, at
+        the first failing position.
         """
         # |fl(e - v)| falls then rises along the sorted entries e, so the two
         # nearest entries are among the two on each side of v's insertion
-        # point. The infinite pads stand in for neighbours past either end.
+        # point, and counting there tells none, one and more within apart.
+        # The infinite pads stand in for neighbours past either end.
         order = np.argsort(self.entries)
         table = np.concatenate(([-np.inf] * 2, self.entries[order], [np.inf] * 2))
         out = np.empty(values.size, dtype=np.uint8)
         for start in range(0, values.size, _TOLERANT_BLOCK):
             block = values[start : start + _TOLERANT_BLOCK]
             near = np.searchsorted(table[2:-2], block)[:, None] + np.arange(4)
-            dist = np.abs(table[near] - block[:, None])
-            two = np.partition(dist, 1, axis=1)
-            miss = ~(two[:, 0] <= tolerance)  # a NaN distance is a miss
-            bad = np.flatnonzero(miss | (two[:, 1] <= tolerance))
+            within = np.abs(table[near] - block[:, None]) <= tolerance
+            count = within.sum(axis=1)
+            bad = np.flatnonzero(count != 1)
             if bad.size:
                 i = int(bad[0])
-                if miss[i]:
-                    raise NoMatchError(start + i)
-                raise AmbiguousError(start + i)
-            nearest = near[np.arange(block.size), dist.argmin(axis=1)]
-            out[start : start + block.size] = order[nearest - 2]
+                error = NoMatchError if count[i] == 0 else AmbiguousError
+                raise error(start + i)
+            out[start : start + block.size] = order[near[within] - 2]
         return out.tobytes()
 
 
@@ -104,7 +101,7 @@ def _refuse_nonfinite(values: np.ndarray) -> None:
     """FormatError naming the first non-finite ciphertext value, if any."""
     finite = np.isfinite(values)
     if not finite.all():
-        pos = int(np.argmin(finite))
+        pos = int(np.flatnonzero(~finite)[0])
         raise FormatError(f"non-finite ciphertext value at position {pos}")
 
 
@@ -151,10 +148,9 @@ def decrypt(
     arithmetic. If entries repeat (only a key that validate_key rejects
     gives such a codebook), a shared value decrypts to the lowest byte.
 
-    Tolerant mode (tolerance = eps): the nearest entry wins if it is within
-    eps and the second-nearest is more than eps away. Meant only for
-    ciphertext that crossed a lossy decimal re-encoding; unreliable for
-    large step counts.
+    Tolerant mode (tolerance = eps): exactly one entry must be within eps,
+    and its byte is the plaintext byte. Meant only for ciphertext that
+    crossed a lossy decimal re-encoding; unreliable for large step counts.
     """
     if tolerance is not None and not tolerance > 0:
         raise ValueError("tolerance must be positive")

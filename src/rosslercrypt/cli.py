@@ -29,11 +29,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    keyed = argparse.ArgumentParser(add_help=False)
+    keyed.add_argument("--key", required=True)
+    keyed.add_argument("--in", dest="in_path", required=True)
 
     p = sub.add_parser("simulate", help="integrate the system and emit CSV")
-    p.add_argument("--a", type=float, default=0.2)
-    p.add_argument("--b", type=float, default=0.2)
-    p.add_argument("--c", type=float, default=5.7)
+    p.add_argument("--a", type=float, default=rossler.CANONICAL_PARAMS.a)
+    p.add_argument("--b", type=float, default=rossler.CANONICAL_PARAMS.b)
+    p.add_argument("--c", type=float, default=rossler.CANONICAL_PARAMS.c)
     p.add_argument("--x0", type=float, default=0.0001)
     p.add_argument("--y0", type=float, default=0.0001)
     p.add_argument("--z0", type=float, default=0.0001)
@@ -45,14 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="64-bit seed; default: OS entropy")
     p.add_argument("--out", required=True, help="key file path (61 bytes)")
 
-    p = sub.add_parser("encrypt", help="encrypt a file")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="in_path", required=True)
+    p = sub.add_parser("encrypt", parents=[keyed], help="encrypt a file")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("decrypt", help="decrypt a file")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="in_path", required=True)
+    p = sub.add_parser("decrypt", parents=[keyed], help="decrypt a file")
     p.add_argument("--out", required=True)
     p.add_argument(
         "--tolerance",
@@ -61,13 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "(for ciphertext that crossed a lossy re-encoding)",
     )
 
-    p = sub.add_parser("digest", help="print the keyed digest of a file")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="in_path", required=True)
+    sub.add_parser("digest", parents=[keyed], help="print the keyed digest of a file")
 
-    p = sub.add_parser("verify", help="check a file against a claimed digest")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="in_path", required=True)
+    p = sub.add_parser(
+        "verify", parents=[keyed], help="check a file against a claimed digest"
+    )
     p.add_argument("--digest", required=True, help="16 hex digits")
 
     p = sub.add_parser("keyspace", help="print the keyspace size 2^(7n)")
@@ -81,12 +78,11 @@ def _read(path: str) -> bytes:
         return f.read()
 
 
-def _trajectory_csv(traj: rossler.Trajectory) -> str:
+def _trajectory_csv(states, h: float) -> str:
     # repr() of a float is the shortest decimal that parses back to the
     # same binary64, so the CSV is lossless.
     lines = ["t,x,y,z"]
-    h = traj.h
-    for n, row in enumerate(traj.states):
+    for n, row in enumerate(states):
         t = n * h
         lines.append(f"{t!r},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}")
     return "\n".join(lines) + "\n"
@@ -95,8 +91,8 @@ def _trajectory_csv(traj: rossler.Trajectory) -> str:
 def _cmd_simulate(args) -> int:
     params = rossler.SystemParams(args.a, args.b, args.c)
     init = rossler.StateVector(args.x0, args.y0, args.z0)
-    traj = rossler.run_machine_trajectory(params, init, args.steps, args.h)
-    text = _trajectory_csv(traj)
+    states = rossler.run_machine_trajectory(params, init, args.steps, args.h)
+    text = _trajectory_csv(states, args.h)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)

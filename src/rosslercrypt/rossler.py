@@ -41,21 +41,6 @@ class StateVector:
     y: float
     z: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States sampled every h time units; states[k] is the state at k*h."""
-
-    h: float
-    states: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[0] - 1
-
 
 #: Parameters in the classic chaotic regime; the simulation default.
 CANONICAL_PARAMS = SystemParams(0.2, 0.2, 5.7)
@@ -93,8 +78,9 @@ def run_machine(
 
 def run_machine_trajectory(
     params: SystemParams, init: StateVector, n_steps: int, h: float
-) -> Trajectory:
-    """Full sampled trajectory; the last state equals run_machine's output.
+) -> np.ndarray:
+    """The (n_steps + 1, 3) float64 states; row k is the state at time k*h,
+    and the last row equals run_machine's output.
 
     n_steps may also be 0: the trajectory is then the start alone.
     """
@@ -105,7 +91,7 @@ def run_machine_trajectory(
     )
     if fail != 0:
         raise DivergenceError(f"machine run diverged at step {fail}", step=fail)
-    return Trajectory(h=h, states=states)
+    return states
 
 
 def run_machine_batch(

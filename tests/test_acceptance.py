@@ -151,7 +151,7 @@ def test_criterion_2_rk4_order():
     errors = []
     for h, n in [(0.1, 100), (0.05, 200), (0.025, 400)]:
         out = run_machine(CANONICAL_PARAMS, SIM_INIT, n, h)
-        errors.append(float(np.abs(out.as_array() - fine).max()))
+        errors.append(float(np.abs(np.array([out.x, out.y, out.z]) - fine).max()))
     elapsed = time.perf_counter() - start
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     ok = all(14 <= r <= 18 for r in ratios) and elapsed < 1.0
@@ -174,7 +174,7 @@ def test_criterion_3_sensitive_dependence():
     traj_a = run_machine_trajectory(CANONICAL_PARAMS, base, 2000, 0.1)
     traj_b = run_machine_trajectory(CANONICAL_PARAMS, nearby, 2000, 0.1)
     elapsed = time.perf_counter() - start
-    separation = np.linalg.norm(traj_a.states - traj_b.states, axis=1)
+    separation = np.linalg.norm(traj_a - traj_b, axis=1)
     crossing = int(np.argmax(separation > 1e-2)) if (separation > 1e-2).any() else -1
     ok = crossing >= 0 and elapsed < 1.0
     report(

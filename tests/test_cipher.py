@@ -172,6 +172,13 @@ class TestDecrypt:
         ct = Ciphertext(values=np.array([midpoint]))
         with pytest.raises(AmbiguousError):
             decrypt(ct, reference_key, tolerance=2 * float(gaps[i]))
+        # Every entry is within an infinite tolerance.
+        with pytest.raises(AmbiguousError) as exc_info:
+            decrypt(ct, reference_key, tolerance=np.inf)
+        assert exc_info.value.position == 0
+        with pytest.raises(AmbiguousError) as exc_info:
+            codebook.nearest_bytes(ct.values, np.inf)
+        assert exc_info.value.position == 0
 
     def test_tolerance_must_be_positive(self, reference_key):
         ct = encrypt(b"x", reference_key)
@@ -378,10 +385,12 @@ class TestTolerantInverse:
 
     def test_nearest_bytes_takes_nan_for_a_miss(self, entries):
         # Called directly, without decrypt's guard against non-finite values:
-        # every distance to NaN is NaN, and a NaN distance is no match.
-        with pytest.raises(NoMatchError) as exc_info:
-            Codebook(entries).nearest_bytes(np.array([entries[7], np.nan]), 1e-9)
-        assert exc_info.value.position == 1
+        # every distance to NaN is NaN, and a NaN distance is no match. An
+        # infinite value is an infinite or NaN distance from every entry.
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NoMatchError) as exc_info, np.errstate(invalid="ignore"):
+                Codebook(entries).nearest_bytes(np.array([entries[7], bad]), 1e-9)
+            assert exc_info.value.position == 1
 
 
 class TestWireFormat:

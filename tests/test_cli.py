@@ -61,7 +61,7 @@ class TestSimulate:
         for n, line in enumerate(rows):
             t, x, y, z = (float(c) for c in line.split(","))
             assert t == 0.0 + n * 0.1
-            assert (x, y, z) == tuple(traj.states[n])
+            assert (x, y, z) == tuple(traj[n])
 
     def test_emitted_reals_round_trip_exactly(self, capsys):
         _, out, _ = run_cli(capsys, ["simulate", "--steps", "25"])

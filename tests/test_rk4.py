@@ -49,7 +49,7 @@ class TestRk4Step:
         params = SystemParams(0.5, 0.0, 1.0)
         state = StateVector(1.0, -2.0, 2.0)
         out = run_machine(params, state, 1, 0.1)
-        assert bits(out.as_array()) == bits(state.as_array())
+        assert bits([out.x, out.y, out.z]) == bits([state.x, state.y, state.z])
 
     @pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
     def test_invalid_step_size_rejected(self, h):
@@ -107,10 +107,10 @@ class TestRk4Stages:
             for v, ka, kb, kc, kd in zip(s, a, b, c, d)
         ]
         out = run_machine(CANONICAL_PARAMS, SIM_INIT, 1, h)
-        assert bits(out.as_array()) == bits(expected)
+        assert bits([out.x, out.y, out.z]) == bits(expected)
 
 
-class TestIntegrate:
+class TestStepCountAndSamples:
     def test_negative_step_count_rejected(self):
         assert_each_refuses(entry_points(CANONICAL_PARAMS, SIM_INIT, -1, 0.1))
 
@@ -120,20 +120,20 @@ class TestIntegrate:
             oracles.rossler_rhs(0.2, 0.2, 5.7), [0.0001, 0.0001, 0.0001], 0.1, 50
         )
         traj = run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, 50, 0.1)
-        assert bits(traj.states) == bits(samples)
+        assert bits(traj) == bits(samples)
 
 
-class TestIntegrateTrajectory:
+class TestTrajectorySamples:
     def test_prefix_property(self):
         long = run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, 12, 0.1)
         short = run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, 5, 0.1)
-        assert bits(long.states[:6]) == bits(short.states)
+        assert bits(long[:6]) == bits(short)
 
-    def test_each_sample_matches_integrate(self):
+    def test_each_sample_matches_run_machine(self):
         traj = run_machine_trajectory(CANONICAL_PARAMS, SIM_INIT, 10, 0.1)
         for k in range(1, 11):
             direct = run_machine(CANONICAL_PARAMS, SIM_INIT, k, 0.1)
-            assert bits(traj.states[k]) == bits(direct.as_array())
+            assert bits(traj[k]) == bits([direct.x, direct.y, direct.z])
 
 
 class TestProperties:
@@ -143,7 +143,7 @@ class TestProperties:
         whole = run_machine(CANONICAL_PARAMS, SIM_INIT, split + rest, 0.1)
         middle = run_machine(CANONICAL_PARAMS, SIM_INIT, split, 0.1)
         tail = run_machine(CANONICAL_PARAMS, middle, rest, 0.1)
-        assert bits(whole.as_array()) == bits(tail.as_array())
+        assert bits([whole.x, whole.y, whole.z]) == bits([tail.x, tail.y, tail.z])
 
     @given(
         st.floats(min_value=-10, max_value=10),
@@ -153,4 +153,4 @@ class TestProperties:
     def test_zero_field_is_fixed_point(self, a, c, n_steps):
         # With b = 0 the origin is an equilibrium for every a and c.
         out = run_machine(SystemParams(a, 0.0, c), StateVector(0.0, 0.0, 0.0), n_steps, 0.1)
-        assert bits(out.as_array()) == bits(np.zeros(3))
+        assert bits([out.x, out.y, out.z]) == bits(np.zeros(3))
