@@ -86,7 +86,11 @@ class Codebook:
         for start in range(0, values.size, _TOLERANT_BLOCK):
             block = values[start : start + _TOLERANT_BLOCK]
             near = np.searchsorted(table[2:-2], block)[:, None] + np.arange(4)
-            within = np.abs(table[near] - block[:, None]) <= tolerance
+            # An infinite value minus the pad of its sign is NaN, never
+            # within; that subtraction alone may warn, so it alone is silenced.
+            with np.errstate(invalid="ignore"):
+                gap = table[near] - block[:, None]
+            within = np.abs(gap) <= tolerance
             count = within.sum(axis=1)
             bad = np.flatnonzero(count != 1)
             if bad.size:

@@ -17,8 +17,9 @@ import re
 import struct
 from dataclasses import dataclass
 
-from . import rossler
-from .cipher import map_byte
+import numpy as np
+
+from . import cipher, rossler
 from .errors import FormatError
 from .keys import RosslerKey
 
@@ -26,6 +27,9 @@ from .keys import RosslerKey
 GOLDEN_RATIO_CONJUGATE = 0.6180339887498949
 
 _HEX16 = re.compile(r"[0-9a-fA-F]{16}")
+
+# Bytes per chunk of weighted_sum; bounds its temporaries to ~1.5 MiB.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,21 @@ def weighted_sum(message: bytes) -> float:
     distinct bytes, changes it. Longer messages can round. Other edits can
     keep the sum, and with it the digest under every key: b"\x0a\x14" and
     b"\x0c\x13" both sum to 53/1024.
+
+    The sum is formed in chunks of _CHUNK bytes with np.add.accumulate,
+    which adds strictly left to right, carrying the running sum into each
+    chunk's first term. So every addition is the per-byte loop's, and the
+    result has its bits at every length, rounding included. np.sum and
+    math.fsum add in other orders and would change them.
     """
+    data = np.frombuffer(message, np.uint8)
     s = 0.0
-    for i, byte in enumerate(message, start=1):
-        s += i * map_byte(byte)
+    for start in range(0, data.size, _CHUNK):
+        block = data[start : start + _CHUNK]
+        terms = np.arange(start + 1, start + 1 + block.size, dtype=np.float64)
+        terms *= cipher._BYTE_X0S[block]
+        terms[0] += s
+        s = float(np.add.accumulate(terms)[-1])
     return s
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -41,7 +42,31 @@ class TestWeightedSum:
 
     @given(st.binary(max_size=2048))
     def test_matches_reference_sum(self, message):
+        expected = oracles.weighted_sum(message)
+        assert weighted_sum(message) == expected
+        # A small chunk puts a carry at every seventh byte.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(digest_mod, "_CHUNK", 7)
+            assert weighted_sum(message) == expected
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, digest_mod._CHUNK + 1])
+    def test_matches_reference_sum_at_chunk_seams(self, extra):
+        message = random.Random(extra).randbytes(digest_mod._CHUNK + extra)
         assert weighted_sum(message) == oracles.weighted_sum(message)
+
+    def test_rounds_as_the_per_byte_loop_past_two_to_the_23(self):
+        # 2^23 bytes of 0xFF push the partial sums past 2^43, where binary64
+        # no longer holds every multiple of 1/1024, so the tail's additions
+        # round. The constant is oracles.weighted_sum of this message.
+        n = 2**23
+        tail = random.Random(2023).randbytes(1024)
+        message = b"\xff" * n + tail
+        s = weighted_sum(message)
+        assert s.hex() == "0x1.0007d83b28e03p+43"
+        exact = 256 * n * (n + 1) // 2 + sum(
+            (n + i) * (b + 1) for i, b in enumerate(tail, start=1)
+        )
+        assert Fraction(s) != Fraction(exact, 1024)
 
     @given(
         message=st.binary(min_size=1, max_size=512),
@@ -88,8 +113,6 @@ class TestFoldToUnit:
 
     def test_weighted_sum_example(self):
         # One extended-precision multiply, rounded once to binary64.
-        from fractions import Fraction
-
         exact = Fraction(0.1953125) * Fraction(GAMMA)
         lo = float(exact)
         assert fold_to_unit(0.1953125) == lo - math.floor(lo)
