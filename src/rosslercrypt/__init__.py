@@ -10,7 +10,7 @@ provide.
 
 from __future__ import annotations
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .cipher import (
     Ciphertext,

@@ -2,8 +2,10 @@
 
 Each plaintext byte is mapped to an initial x value, the machine is run for
 N steps, and the final x is the ciphertext value for that byte. The receiver
-rebuilds the same 256-entry codebook with the shared key and inverts by
-exact bit match.
+builds the same 256-entry codebook from the shared key and inverts by exact
+bit match. A process builds each key's codebook once: build_codebook keeps
+the codebooks of the few keys it was most recently asked for, looked up by
+the key's bits.
 
 This is a deterministic substitution cipher at the byte level: equal bytes
 produce equal ciphertext values, so frequency analysis and known-plaintext
@@ -12,6 +14,7 @@ attacks apply. It is an educational construction, not a secure cipher.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -124,12 +127,36 @@ def build_codebook(key: RosslerKey) -> Codebook:
 
     Raises DivergenceError (with .entry = the byte and .step) if any run
     goes non-finite; validated keys never do.
+
+    The codebooks of the _MEMO_KEYS most recently used keys are kept and
+    shared, so the returned entries are read-only. They are looked up by the key's bits,
+    not by RosslerKey equality, under which y0 = 0.0 and y0 = -0.0 are one
+    key. A key with a field not of the type keys come with (float, and int
+    for n_steps) is built afresh on every call. Errors are never kept.
     """
-    params = rossler.SystemParams(key.a, key.b, key.c)
+    fields = (key.a, key.b, key.c, key.y0, key.z0, key.h)
+    if all(type(v) is float for v in fields) and type(key.n_steps) is int:
+        return _memo_build(struct.pack(">6d", *fields), key.n_steps)
+    return _build(*fields, key.n_steps)
+
+
+# Codebooks kept by build_codebook; about 2 KiB each. The active kernel
+# backend is fixed at import, so the bits alone identify the codebook.
+_MEMO_KEYS = 8
+
+
+@functools.lru_cache(maxsize=_MEMO_KEYS)
+def _memo_build(bits: bytes, n_steps: int) -> Codebook:
+    return _build(*struct.unpack(">6d", bits), n_steps)
+
+
+def _build(a, b, c, y0, z0, h, n_steps) -> Codebook:
     finals = rossler.run_machine_batch(
-        params, _BYTE_X0S, key.y0, key.z0, key.n_steps, key.h
+        rossler.SystemParams(a, b, c), _BYTE_X0S, y0, z0, n_steps, h
     )
-    return Codebook(entries=finals[:, 0].copy())
+    entries = finals[:, 0].copy()
+    entries.flags.writeable = False
+    return Codebook(entries=entries)
 
 
 def encrypt(plaintext: bytes, key: RosslerKey) -> Ciphertext:

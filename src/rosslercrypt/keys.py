@@ -131,7 +131,8 @@ def validate_key(key: RosslerKey) -> KeyValidationReport:
     Valid means: all fields finite, h > 0, 1 <= N <= MAX_STEPS, all 256
     codebook entries finite, and all entries pairwise bit-distinct. The
     full codebook is built because collision freedom is exactly what
-    exact-mode decryption rests on.
+    exact-mode decryption rests on. build_codebook keeps it, so encrypt
+    and decrypt with the same key in the same process reuse it.
     """
     if reason := _unusable(key):
         return KeyValidationReport(False, reason)

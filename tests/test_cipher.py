@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import struct
 import warnings
 
@@ -77,6 +79,107 @@ class TestCodebook:
             Codebook(entries=np.zeros(8))
 
 
+def build_outcome(key):
+    """What build_codebook gives for key: the entries' bytes, or the error type."""
+    try:
+        return build_codebook(key).entries.tobytes()
+    except Exception as err:
+        return type(err)
+
+
+def fresh_outcome(key):
+    """build_outcome with no codebook kept."""
+    cipher._memo_build.cache_clear()
+    return build_outcome(key)
+
+
+class TestCodebookMemo:
+    """build_codebook keeps recent codebooks by the key's bits; a kept one is
+    exactly what a fresh build gives."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        cipher._memo_build.cache_clear()
+        yield
+        cipher._memo_build.cache_clear()
+
+    def test_hit_equals_fresh_build_bit_for_bit(self):
+        key = generate_key(5)  # keeps its codebook
+        hits = cipher._memo_build.cache_info().hits
+        kept = build_codebook(key)
+        assert cipher._memo_build.cache_info().hits == hits + 1
+        assert kept.entries.tobytes() == fresh_outcome(key)
+
+    def test_signed_zeros_are_different_keys(self, reference_key):
+        plus = dataclasses.replace(reference_key, y0=0.0)
+        minus = dataclasses.replace(reference_key, y0=-0.0)
+        assert plus == minus and hash(plus) == hash(minus)
+        build_codebook(plus)
+        build_codebook(minus)
+        assert cipher._memo_build.cache_info().currsize == 2
+        assert build_outcome(plus) == fresh_outcome(plus)
+        assert build_outcome(minus) == fresh_outcome(minus)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_steps", 500.0),
+            ("n_steps", np.int64(500)),
+            ("n_steps", True),
+            ("a", np.float64(0.2)),
+            ("c", 6),
+        ],
+    )
+    def test_field_types_give_a_fresh_builds_outcome(self, reference_key, field, value):
+        key = dataclasses.replace(reference_key, **{field: value})
+        # Equal to a key of the usual types whose codebook is kept first.
+        usual_type = type(getattr(reference_key, field))
+        usual = dataclasses.replace(reference_key, **{field: usual_type(value)})
+        assert key == usual and hash(key) == hash(usual)
+        fresh = fresh_outcome(key)
+        build_codebook(usual)
+        assert build_outcome(key) == fresh
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"a": math.nan}, ValueError),
+            ({"h": 0.0}, ValueError),
+            ({"h": -0.1}, ValueError),
+            ({"n_steps": 0}, ValueError),
+            ({"h": 10.0}, DivergenceError),
+        ],
+    )
+    def test_errors_repeat_and_are_not_kept(self, reference_key, change, error):
+        key = dataclasses.replace(reference_key, **change)
+        assert build_outcome(key) is error
+        assert build_outcome(key) is error
+        assert cipher._memo_build.cache_info().currsize == 0
+
+    def test_bounded_and_least_recent_key_dropped(self, reference_key):
+        limit = cipher._MEMO_KEYS
+        keys = [
+            dataclasses.replace(reference_key, n_steps=n) for n in range(1, limit + 4)
+        ]
+        for key in keys:
+            build_codebook(key)
+            assert cipher._memo_build.cache_info().currsize <= limit
+        misses = cipher._memo_build.cache_info().misses
+        build_codebook(keys[-1])
+        build_codebook(keys[0])
+        assert cipher._memo_build.cache_info().misses == misses + 1
+
+    def test_entries_read_only_ciphertext_writeable(self, reference_key):
+        entries = build_codebook(reference_key).entries
+        assert not entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            entries[0] = 1.0
+        values = encrypt(bytes(range(256)), reference_key).values
+        assert values.tobytes() == entries.tobytes()
+        assert values.flags.writeable
+        assert not np.shares_memory(values, entries)
+
+
 class TestEncrypt:
     def test_empty_plaintext(self, reference_key):
         ct = encrypt(b"", reference_key)
@@ -97,7 +200,10 @@ class TestEncrypt:
         assert len(encrypt(message, reference_key)) == len(message)
 
     def test_deterministic(self, reference_key):
+        # Each call builds its own codebook, so the repeat is not a memo hit.
+        cipher._memo_build.cache_clear()
         first = encrypt(b"determinism", reference_key)
+        cipher._memo_build.cache_clear()
         second = encrypt(b"determinism", reference_key)
         assert first.values.tobytes() == second.values.tobytes()
 
