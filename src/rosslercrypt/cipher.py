@@ -3,9 +3,9 @@
 Each plaintext byte is mapped to an initial x value, the machine is run for
 N steps, and the final x is the ciphertext value for that byte. The receiver
 builds the same 256-entry codebook from the shared key and inverts by exact
-bit match. A process builds each key's codebook once: build_codebook keeps
-the codebooks of the few keys it was most recently asked for, looked up by
-the key's bits.
+bit match. build_codebook keeps the codebook of the last key it was asked
+for, looked up by the key's bits, so a process that uses one key at a time
+builds each key's codebook once.
 
 This is a deterministic substitution cipher at the byte level: equal bytes
 produce equal ciphertext values, so frequency analysis and known-plaintext
@@ -128,11 +128,11 @@ def build_codebook(key: RosslerKey) -> Codebook:
     Raises DivergenceError (with .entry = the byte and .step) if any run
     goes non-finite; validated keys never do.
 
-    The codebooks of the _MEMO_KEYS most recently used keys are kept and
-    shared, so the returned entries are read-only. They are looked up by the key's bits,
-    not by RosslerKey equality, under which y0 = 0.0 and y0 = -0.0 are one
-    key. A key with a field not of the type keys come with (float, and int
-    for n_steps) is built afresh on every call. Errors are never kept.
+    The codebook of the last key is kept and shared, so the returned
+    entries are read-only. It is looked up by the key's bits, not by
+    RosslerKey equality, under which y0 = 0.0 and y0 = -0.0 are one key. A
+    key with a field not of the type keys come with (float, and int for
+    n_steps) is built afresh on every call. Errors are never kept.
     """
     fields = (key.a, key.b, key.c, key.y0, key.z0, key.h)
     if all(type(v) is float for v in fields) and type(key.n_steps) is int:
@@ -140,12 +140,9 @@ def build_codebook(key: RosslerKey) -> Codebook:
     return _build(*fields, key.n_steps)
 
 
-# Codebooks kept by build_codebook; about 2 KiB each. The active kernel
+# The codebook kept by build_codebook (about 2 KiB). The active kernel
 # backend is fixed at import, so the bits alone identify the codebook.
-_MEMO_KEYS = 8
-
-
-@functools.lru_cache(maxsize=_MEMO_KEYS)
+@functools.lru_cache(maxsize=1)
 def _memo_build(bits: bytes, n_steps: int) -> Codebook:
     return _build(*struct.unpack(">6d", bits), n_steps)
 

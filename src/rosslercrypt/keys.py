@@ -132,7 +132,8 @@ def validate_key(key: RosslerKey) -> KeyValidationReport:
     codebook entries finite, and all entries pairwise bit-distinct. The
     full codebook is built because collision freedom is exactly what
     exact-mode decryption rests on. build_codebook keeps it, so encrypt
-    and decrypt with the same key in the same process reuse it.
+    and decrypt with this key reuse it until another key's codebook is
+    built.
     """
     if reason := _unusable(key):
         return KeyValidationReport(False, reason)

@@ -115,8 +115,8 @@ class TestCodebookMemo:
         minus = dataclasses.replace(reference_key, y0=-0.0)
         assert plus == minus and hash(plus) == hash(minus)
         build_codebook(plus)
-        build_codebook(minus)
-        assert cipher._memo_build.cache_info().currsize == 2
+        build_codebook(minus)  # a miss: not served plus's codebook
+        assert cipher._memo_build.cache_info().misses == 2
         assert build_outcome(plus) == fresh_outcome(plus)
         assert build_outcome(minus) == fresh_outcome(minus)
 
@@ -156,14 +156,12 @@ class TestCodebookMemo:
         assert build_outcome(key) is error
         assert cipher._memo_build.cache_info().currsize == 0
 
-    def test_bounded_and_least_recent_key_dropped(self, reference_key):
-        limit = cipher._MEMO_KEYS
-        keys = [
-            dataclasses.replace(reference_key, n_steps=n) for n in range(1, limit + 4)
-        ]
+    def test_only_the_last_key_is_kept(self, reference_key):
+        assert cipher._memo_build.cache_info().maxsize == 1
+        keys = [dataclasses.replace(reference_key, n_steps=n) for n in (1, 2, 3)]
         for key in keys:
             build_codebook(key)
-            assert cipher._memo_build.cache_info().currsize <= limit
+            assert cipher._memo_build.cache_info().currsize == 1
         misses = cipher._memo_build.cache_info().misses
         build_codebook(keys[-1])
         build_codebook(keys[0])
